@@ -39,6 +39,7 @@ from .pipeline import (
     pair_triclusters,
     run_msc,
     run_msc_dbscan,
+    run_msc_iterated,
 )
 from .spectral import (
     EigConfig,
@@ -106,6 +107,7 @@ __all__ = [
     "rmse_subcube",
     "run_msc",
     "run_msc_dbscan",
+    "run_msc_iterated",
     "save_tensor",
     "similarity_matrix",
     "slice_spectra",

@@ -24,15 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .metrics import ari, labels_from_clusters, rmse_subcube, weighted_mean_rmse
-from .msc import MscResult
 from .pipeline import (
-    ModeClustering,
-    Tricluster,
-    TriclusterSet,
+    METHODS,
     clusters_from_json,
     clusters_to_json,
     modes_from_msc,
-    run_msc,
     run_msc_dbscan,
 )
 from .spectral import EigConfig
@@ -41,6 +37,8 @@ from .tensor import load_tensor, save_tensor
 
 RESULT_HEADER = "gamma,seed,method,mode,ari,rmse,wall_ms,status"
 AGGREGATE_HEADER = "gamma,method,ari_mean,ari_std,rmse_mean"
+MSC, MSC_DBSCAN, _ = METHODS  # the method names, in table order
+SWEEP_METHODS = (MSC, MSC_DBSCAN)
 
 
 def _parse_dims(text):
@@ -83,10 +81,6 @@ def _parse_gamma_range(text):
     return out
 
 
-def _eig_config(args):
-    return EigConfig(method=args.eig)
-
-
 def cmd_synth(args):
     dims = _parse_dims(args.dims)
     gammas = _parse_gammas(args.gamma, args.rank)
@@ -114,54 +108,10 @@ def cmd_synth(args):
     return 0
 
 
-def _iterated_msc(t, epsilon, config):
-    """Repeated single-cluster extraction over shrinking complement sets.
-
-    Runs the per-mode pass on the sub-tensor of still-unclaimed indices,
-    records the recovered (original-index) sets, removes them, and repeats
-    until any mode fails to produce a converged cluster.
-    """
-    active = [list(range(m)) for m in t.dims]
-    rounds = []
-    first_results = None
-    while min(len(a) for a in active) >= 3:
-        sub = t.subcube(active[0], active[1], active[2])
-        try:
-            results = run_msc(sub, epsilon, config)
-        except NoGapError as e:
-            if first_results is None:
-                first_results = e
-            break
-        except DegenerateInputError:
-            # a zero complement after successful rounds just ends the loop;
-            # a zero tensor on the first round is a real degenerate input
-            if first_results is None:
-                raise
-            break
-        if first_results is None:
-            first_results = results
-        if not all(r.converged and r.size >= 2 for r in results):
-            break
-        triple = []
-        for axis, r in enumerate(results):
-            triple.append(tuple(active[axis][i] for i in r.cluster))
-        rounds.append(tuple(triple))
-        for axis in range(3):
-            claimed = set(rounds[-1][axis])
-            active[axis] = [i for i in active[axis] if i not in claimed]
-    return rounds, first_results
-
-
 def cmd_cluster(args):
     t = load_tensor(args.input, fmt=args.format)
-    cfg = _eig_config(args)
-    if args.method == "msc":
-        results = run_msc(t, args.epsilon, cfg)
-        modes, triset = modes_from_msc(results, tensor=t)
-    elif args.method == "msc-dbscan":
-        modes, triset = run_msc_dbscan(t, args.epsilon, cfg)
-    else:
-        modes, triset = _cluster_iterated(t, args.epsilon, cfg)
+    run = METHODS[args.method]
+    modes, triset = run(t, args.epsilon, EigConfig(method=args.eig))
     text = clusters_to_json(args.epsilon, args.method, modes, triset)
     if args.out:
         with open(args.out, "w") as fh:
@@ -176,49 +126,19 @@ def cmd_cluster(args):
     return 0
 
 
-def _cluster_iterated(t, epsilon, cfg):
-    rounds, first = _iterated_msc(t, epsilon, cfg)
-    if isinstance(first, NoGapError):
-        raise first
-    if first is None:
-        raise ValueError(
-            f"tensor dims {t.dims} too small for iterated extraction"
-        )
-    modes = []
-    for axis in range(3):
-        res = first[axis]
-        clusters = [r[axis] for r in rounds]
-        msc_cluster = rounds[0][axis] if rounds else tuple(res.cluster)
-        base = MscResult(
-            mode=res.mode, cluster=msc_cluster, d=res.d, epsilon=res.epsilon,
-            size=len(msc_cluster), bound=res.bound, converged=res.converged,
-            similarity=None, lambda_max=res.lambda_max,
-            strength_ratio=res.strength_ratio,
-        )
-        modes.append(ModeClustering(mode=axis + 1, clusters=clusters,
-                                    noise=(), msc=base))
-    triples = [
-        Tricluster(
-            j1=r[0], j2=r[1], j3=r[2],
-            score=float(np.abs(t.subcube(r[0], r[1], r[2]).data).mean()),
-        )
-        for r in rounds
-    ]
-    return modes, TriclusterSet(triclusters=triples,
-                                pairing_rule="extraction-round")
-
-
 def cmd_eval(args):
-    with open(args.clusters, "r") as fh:
+    with open(args.clusters, "rb") as fh:
         pred = clusters_from_json(fh.read())
     lines = []
     if args.truth:
-        with open(args.truth, "r") as fh:
+        with open(args.truth, "rb") as fh:
             truth = truth_from_json(fh.read())
         dims = truth["dims"]
         mode_aris = []
         for entry in pred["modes"]:
             mode = entry["mode"]
+            if mode not in (1, 2, 3):
+                raise ValidationError(f"clusters JSON has mode {mode}, not 1, 2 or 3")
             m = dims[mode - 1]
             if entry["d"] and len(entry["d"]) != m:
                 raise ValidationError(
@@ -247,54 +167,41 @@ def cmd_eval(args):
     return 0
 
 
-def _mode_clusters_for_method(mc):
-    return [list(c) for c in mc.clusters]
-
-
 def _sweep_one(task):
     """One (gamma, seed) cell: generate, cluster, evaluate both methods.
 
-    Returns (gamma, seed, rows) where rows are finished CSV fragments for
-    methods msc and msc-dbscan across the three modes.
+    Returns the finished CSV rows of both methods across the three modes.
     """
     gamma, seed, epsilon, eig, dims, cluster_size, rank = task
     t0 = time.perf_counter()
     spec = benchmark_spec(gamma, seed, dims=dims, cluster_size=cluster_size,
                           rank=rank)
     t, truth = generate(spec)
-    cfg = EigConfig(method=eig)
     rows = []
     try:
-        modes, triset = run_msc_dbscan(t, epsilon, cfg)
+        modes, triset = run_msc_dbscan(t, epsilon, EigConfig(method=eig))
     except (DegenerateInputError, ConvergenceError) as e:
         wall = (time.perf_counter() - t0) * 1000.0
-        for method in ("msc", "msc-dbscan"):
+        for method in SWEEP_METHODS:
             for mode in (1, 2, 3):
                 rows.append((gamma, seed, method, mode, float("nan"),
                              float("nan"), wall, f"error:{type(e).__name__}"))
-        return gamma, seed, rows
+        return rows
 
     # the single-stage method's output is the per-mode cluster the second
     # stage started from, so one pipeline run serves both methods
-    msc_modes, msc_triset = modes_from_msc([mc.msc for mc in modes], tensor=t)
+    runs = (modes_from_msc([mc.msc for mc in modes], tensor=t), (modes, triset))
     wall = (time.perf_counter() - t0) * 1000.0
 
-    for method, mmodes, mtriset in (
-        ("msc", msc_modes, msc_triset),
-        ("msc-dbscan", modes, triset),
-    ):
+    for method, (mmodes, mtriset) in zip(SWEEP_METHODS, runs):
         tris = [(tc.j1, tc.j2, tc.j3) for tc in mtriset.triclusters]
         rmse = weighted_mean_rmse(t, tris) if tris else float("nan")
-        ok = all(mc.clusters for mc in mmodes)
-        status = "ok" if ok else "empty"
+        status = "ok" if all(mc.clusters for mc in mmodes) else "empty"
         for mode in (1, 2, 3):
-            truth_labels = truth.mode_labels(mode)
-            pred_labels = labels_from_clusters(
-                _mode_clusters_for_method(mmodes[mode - 1]), t.dims[mode - 1]
-            )
-            a = ari(truth_labels, pred_labels)
+            pred = labels_from_clusters(mmodes[mode - 1].clusters, t.dims[mode - 1])
+            a = ari(truth.mode_labels(mode), pred)
             rows.append((gamma, seed, method, mode, a, rmse, wall, status))
-    return gamma, seed, rows
+    return rows
 
 
 def _format_row(row):
@@ -314,34 +221,24 @@ def cmd_sweep(args):
         for g in gammas
         for s in seeds
     ]
-    jobs = args.jobs
-    results = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for gamma, seed, rows in pool.map(_sweep_one, tasks):
-                results[(gamma, seed)] = rows
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            cells = list(pool.map(_sweep_one, tasks))
     else:
-        for task in tasks:
-            gamma, seed, rows = _sweep_one(task)
-            results[(gamma, seed)] = rows
-
-    ordered = []
-    for g in gammas:
-        for s in seeds:
-            ordered.extend(results[(g, s)])
-    # deterministic row order: gamma, then seed, then method, then mode
-    ordered.sort(key=lambda r: (gammas.index(r[0]), seeds.index(r[1]),
-                                r[2], r[3]))
+        cells = map(_sweep_one, tasks)
+    # deterministic row order: gamma, seed (the task order), method, mode
+    ordered = [row for rows in cells for row in rows]
     with open(args.out, "w") as fh:
         fh.write(RESULT_HEADER + "\n")
         for row in ordered:
             fh.write(_format_row(row) + "\n")
 
-    agg_path = args.aggregate or _default_aggregate_path(args.out)
+    root, ext = os.path.splitext(args.out)
+    agg_path = args.aggregate or f"{root}_agg{ext or '.csv'}"
     with open(agg_path, "w") as fh:
         fh.write(AGGREGATE_HEADER + "\n")
         for g in gammas:
-            for method in ("msc", "msc-dbscan"):
+            for method in SWEEP_METHODS:
                 rows = [r for r in ordered if r[0] == g and r[2] == method]
                 aris = np.array([r[4] for r in rows], dtype=float)
                 rmses = np.array(
@@ -357,14 +254,9 @@ def cmd_sweep(args):
                 )
     print(
         f"wrote {args.out} ({len(ordered)} rows) and {agg_path} "
-        f"({len(gammas) * 2} rows)"
+        f"({len(gammas) * len(SWEEP_METHODS)} rows)"
     )
     return 0
-
-
-def _default_aggregate_path(out):
-    root, ext = os.path.splitext(out)
-    return f"{root}_agg{ext or '.csv'}"
 
 
 def build_parser():
@@ -392,8 +284,7 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="cluster a tensor file")
     p.add_argument("input", help="tensor path")
-    p.add_argument("--method", choices=("msc", "msc-dbscan", "msc-iterated"),
-                   default="msc-dbscan")
+    p.add_argument("--method", choices=METHODS, default=MSC_DBSCAN)
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--eig", choices=("power", "exact"), default="power")
     p.add_argument("--format", choices=("t3b", "csv"), default="t3b")

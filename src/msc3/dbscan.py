@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .msc import marginal_spread_bound
+
 NOISE = -1
 UNVISITED = -2
 
@@ -73,7 +75,7 @@ def dbscan(points, radius, minpts):
 
 
 def derived_radius(l, epsilon, m):
-    """Neighborhood radius sqrt(l * epsilon / 2 + sqrt(max(0, ln(m - l)))).
+    """Neighborhood radius sqrt(marginal_spread_bound(l, epsilon, m)).
 
     This ties the density radius to the marginal spread allowance of a
     size-l cluster over m slices. Clamped from below at 1e-12 so the
@@ -83,9 +85,7 @@ def derived_radius(l, epsilon, m):
         raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    gap = m - l
-    term = math.sqrt(max(0.0, math.log(gap))) if gap >= 1 else 0.0
-    return max(math.sqrt(l * epsilon / 2.0 + term), 1e-12)
+    return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
 
 
 @dataclass(frozen=True)

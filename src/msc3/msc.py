@@ -152,23 +152,16 @@ def refine_cluster(j0, d, epsilon, m, mode=0, similarity=None,
     members = sorted(int(i) for i in j0)
     if len(members) < 2:
         raise ValueError(f"seed cluster must have at least 2 members, got {len(members)}")
-    bound = marginal_spread_bound(len(members), epsilon, m)
     while len(members) >= 2:
-        l = len(members)
-        bound = marginal_spread_bound(l, epsilon, m)
-        steps = np.diff(np.sort(d[members]))
-        if steps.max() <= bound:
-            return MscResult(
-                mode=mode, cluster=tuple(members), d=d, epsilon=epsilon,
-                size=l, bound=bound, converged=True, similarity=similarity,
-                lambda_max=lambda_max, strength_ratio=strength_ratio,
-            )
-        drop = members[int(np.argmin(d[members]))]
-        members.remove(drop)
+        bound = marginal_spread_bound(len(members), epsilon, m)
+        if np.diff(np.sort(d[members])).max() <= bound:
+            break
+        members.remove(members[int(np.argmin(d[members]))])
+    cluster = tuple(members) if len(members) >= 2 else ()
     return MscResult(
-        mode=mode, cluster=(), d=d, epsilon=epsilon, size=0, bound=bound,
-        converged=False, similarity=similarity, lambda_max=lambda_max,
-        strength_ratio=strength_ratio,
+        mode=mode, cluster=cluster, d=d, epsilon=epsilon, size=len(cluster),
+        bound=bound, converged=bool(cluster), similarity=similarity,
+        lambda_max=lambda_max, strength_ratio=strength_ratio,
     )
 
 
@@ -177,8 +170,11 @@ def msc_mode(t, mode, epsilon, config=None):
 
     The similarity matrix is retained on the result for the density-split
     stage. A singleton seed (a lone outlying slice) is reported as an empty,
-    non-converged result rather than a cluster.
+    non-converged result rather than a cluster. Raises ValueError on a
+    non-finite epsilon.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     spectra = slice_spectra(t, mode, config)
     sim = similarity_matrix(spectra)
     rows, cols = t.slice(mode, 0).shape

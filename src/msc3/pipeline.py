@@ -10,12 +10,12 @@ formed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dbscan import split_cluster
-from .errors import NoGapError
+from .errors import DegenerateInputError, NoGapError, load_json
 from .msc import MscResult, msc_mode
 
 PAIRING_RULE = "rank-by-mean-marginal"
@@ -60,14 +60,6 @@ def run_msc(t, epsilon, config=None):
     return [msc_mode(t, mode, epsilon, config) for mode in (1, 2, 3)]
 
 
-def _empty_mode(mode, d, epsilon, bound=0.0):
-    res = MscResult(
-        mode=mode, cluster=(), d=np.asarray(d, dtype=np.float64),
-        epsilon=epsilon, size=0, bound=bound, converged=False,
-    )
-    return ModeClustering(mode=mode, clusters=[], noise=(), msc=res)
-
-
 def run_msc_dbscan(t, epsilon, config=None):
     """Per-mode clustering followed by density splitting, then pairing.
 
@@ -81,18 +73,14 @@ def run_msc_dbscan(t, epsilon, config=None):
         try:
             res = msc_mode(t, mode, epsilon, config)
         except NoGapError as e:
-            d = e.d if e.d is not None else np.empty(0)
-            modes.append(_empty_mode(mode, d, epsilon))
-            continue
+            res = MscResult(mode=mode, cluster=(), d=e.d, epsilon=epsilon,
+                            size=0, bound=0.0, converged=False)
         if res.size < 2 or not res.converged:
             modes.append(ModeClustering(mode=mode, clusters=[], noise=(), msc=res))
             continue
         split = split_cluster(res.similarity, res.cluster, epsilon)
-        modes.append(
-            ModeClustering(
-                mode=mode, clusters=list(split.clusters), noise=split.noise, msc=res
-            )
-        )
+        modes.append(ModeClustering(mode=mode, clusters=list(split.clusters),
+                                    noise=split.noise, msc=res))
     return modes, pair_triclusters(modes, tensor=t)
 
 
@@ -134,6 +122,50 @@ def modes_from_msc(results, tensor=None):
     return modes, pair_triclusters(modes, tensor=tensor)
 
 
+def run_msc_iterated(t, epsilon, config=None):
+    """Repeated single-cluster extraction over shrinking complement sets.
+
+    Each round runs run_msc on the still-unclaimed indices and claims the
+    three clusters it finds. The loop stops at a mode without a converged
+    cluster of 2 or more, a complement under 3 slices, or a later round
+    with no gap or only zeros; first-round errors propagate as in run_msc.
+    Each mode's msc is the first round's result, and round r forms
+    tricluster r. Returns (list of ModeClustering, TriclusterSet).
+    """
+    first = results = run_msc(t, epsilon, config)
+    active = [range(m) for m in t.dims]
+    rounds = []
+    while all(r.converged and r.size >= 2 for r in results):
+        rounds.append(tuple(tuple(a[i] for i in r.cluster)
+                            for a, r in zip(active, results)))
+        active = [[i for i in a if i not in claimed]
+                  for a, claimed in zip(active, map(set, rounds[-1]))]
+        if min(len(a) for a in active) < 3:
+            break
+        try:
+            results = run_msc(t.subcube(*active), epsilon, config)
+        except (NoGapError, DegenerateInputError):
+            break
+    modes = [
+        ModeClustering(mode=res.mode, clusters=[r[axis] for r in rounds],
+                       noise=(), msc=res)
+        for axis, res in enumerate(first)
+    ]
+    return modes, replace(pair_triclusters(modes, tensor=t),
+                          pairing_rule="extraction-round")
+
+
+# method name -> function (t, epsilon, config=None) -> (modes, triset). All
+# three run the per-mode stage msc_mode: msc keeps its cluster, msc-dbscan
+# splits it by density, msc-iterated reruns it on the unclaimed complement.
+METHODS = {
+    "msc": lambda t, epsilon, config=None: modes_from_msc(
+        run_msc(t, epsilon, config), tensor=t),
+    "msc-dbscan": run_msc_dbscan,
+    "msc-iterated": run_msc_iterated,
+}
+
+
 def clusters_to_json(epsilon, method, modes, triset):
     """Serialize a run to the stable JSON layout.
 
@@ -167,9 +199,12 @@ def clusters_to_json(epsilon, method, modes, triset):
             for tc in triset.triclusters
         ],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def clusters_from_json(text):
-    """Parse a document produced by clusters_to_json."""
-    return json.loads(text)
+    """Parse a clusters JSON, checking every key eval reads (see load_json)."""
+    return load_json(text, "clusters JSON", {
+        "modes": [{"mode": int, "clusters": [[int]], "d": [float]}],
+        "triclusters": [{"j1": [int], "j2": [int], "j3": [int]}],
+    })

@@ -40,16 +40,10 @@ class EigConfig:
     """Eigen solver selection: 'power' iteration or 'exact' (Jacobi)."""
 
     method: str = "power"
-    tol: float = 1e-10
-    max_iter: int = 5000
 
     def __post_init__(self):
         if self.method not in ("power", "exact"):
             raise ValueError(f"unknown eig method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def covariance(m):
@@ -265,6 +259,6 @@ def top_eigen(c, config=None):
     """Top eigenpair via the configured method ('power' or 'exact')."""
     cfg = config or EigConfig()
     if cfg.method == "power":
-        return top_eigenpair(c, tol=cfg.tol, max_iter=cfg.max_iter)
+        return top_eigenpair(c)
     top = full_eigen_jacobi(c)[0]
     return EigenPair(max(top.value, 0.0), top.vector, top.degenerate)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 from .tensor import Tensor3, check_index_set
 
 
@@ -179,4 +179,6 @@ def truth_to_json(spec, truth):
 
 
 def truth_from_json(text):
-    return json.loads(text)
+    """Parse a truth JSON, checking every key eval reads (see load_json)."""
+    return load_json(text, "truth JSON",
+                     {"dims": [int], "modes": [{"clusters": [[int]]}]})

@@ -198,12 +198,122 @@ def test_eval_dim_mismatch_exits_2(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
-def test_eval_malformed_json_exits_2(tmp_path, capsys):
+def test_eval_malformed_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc = main(["eval", str(bad), "--truth", str(bad)])
-    assert rc == 2
+    assert rc == 1
     capsys.readouterr()
+
+
+def _drop_modes(doc):
+    del doc["modes"]
+    return json.dumps(doc)
+
+
+def _modes_as_object(doc):
+    doc["modes"] = {"1": doc["modes"][0]}
+    return json.dumps(doc)
+
+
+def _first_cluster_as_strings(doc):
+    doc["modes"][0]["clusters"][0] = [str(i) for i in doc["modes"][0]["clusters"][0]]
+    return json.dumps(doc)
+
+
+def _nan_number(doc):
+    # the document a non-finite epsilon used to produce: not RFC 8259 JSON
+    doc["epsilon" if "epsilon" in doc else "gammas"] = float("nan")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("which", ["clusters", "truth"])
+@pytest.mark.parametrize("corrupt, code", [
+    pytest.param(lambda doc: "{not json", 1, id="not_json"),
+    pytest.param(lambda doc: "", 1, id="empty"),
+    pytest.param(lambda doc: "\udcff garbage", 1, id="not_utf8"),
+    pytest.param(lambda doc: "[" * 100000 + "]" * 100000, 1, id="deep_nesting"),
+    pytest.param(_nan_number, 1, id="nan_number"),
+    pytest.param(lambda doc: "[1, 2]", 2, id="top_level_array"),
+    pytest.param(_drop_modes, 2, id="no_modes"),
+    pytest.param(_modes_as_object, 2, id="modes_as_object"),
+    pytest.param(_first_cluster_as_strings, 2, id="string_members"),
+])
+def test_eval_bad_input_document_exit_code(tmp_path, capsys, which, corrupt,
+                                           code):
+    main(_synth_args(tmp_path, truth="truth.json"))
+    clusters = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
+    bad = clusters if which == "clusters" else tmp_path / "truth.json"
+    bad.write_bytes(corrupt(json.loads(bad.read_text())).encode(
+        "utf-8", "surrogateescape"))
+    capsys.readouterr()
+    rc = main(["eval", str(clusters), "--truth", str(tmp_path / "truth.json")])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {which} JSON")
+
+
+@pytest.mark.parametrize("mode", [0, -1, 4])
+def test_eval_mode_out_of_range_exits_2(tmp_path, capsys, mode):
+    main(_synth_args(tmp_path, truth="truth.json"))
+    clusters = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
+    doc = json.loads(clusters.read_text())
+    doc["modes"][0]["mode"] = mode
+    clusters.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", str(clusters), "--truth", str(tmp_path / "truth.json")])
+    assert rc == 2
+    assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["msc", "msc-dbscan", "msc-iterated"])
+def test_cluster_nonfinite_epsilon_exits_2(tmp_path, capsys, method, value):
+    main(_synth_args(tmp_path))
+    capsys.readouterr()
+    rc = main(["cluster", str(tmp_path / "t.t3b"), "--method", method,
+               f"--epsilon={value}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_nonfinite_epsilon_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims",
+               "12,12,12", "--cluster-size", "3", f"--epsilon={value}",
+               "-o", str(out)])
+    assert rc == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _iterated_exit_code(tmp_path, capsys, data):
+    path = tmp_path / "x.t3b"
+    save_tensor(Tensor3(data), str(path))
+    rc = main(["cluster", str(path), "--method", "msc-iterated"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return rc
+
+
+def test_cluster_iterated_gapless_exits_3(tmp_path, capsys):
+    g = np.array([2.0, 2.0, 1.0, 1.0, 1.0])
+    h = np.array([3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    data = np.ones((4, 5, 6)) * g[None, :, None] * h[None, None, :]
+    assert _iterated_exit_code(tmp_path, capsys, data) == 3
+
+
+@pytest.mark.parametrize("dims", [(2, 6, 6), (6, 1, 6), (6, 6, 2)])
+def test_cluster_iterated_small_dims_exit_2(tmp_path, capsys, dims):
+    data = np.random.default_rng(0).standard_normal(dims)
+    assert _iterated_exit_code(tmp_path, capsys, data) == 2
 
 
 def _run_sweep(tmp_path, name):

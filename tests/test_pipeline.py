@@ -7,10 +7,13 @@ import pytest
 from msc3 import (
     Component,
     DegenerateInputError,
+    FormatError,
     ModeClustering,
     MscResult,
+    NoGapError,
     SynthSpec,
     Tensor3,
+    ValidationError,
     benchmark_spec,
     clusters_from_json,
     clusters_to_json,
@@ -19,7 +22,9 @@ from msc3 import (
     pair_triclusters,
     run_msc,
     run_msc_dbscan,
+    run_msc_iterated,
 )
+from msc3.pipeline import METHODS
 
 
 def _block_spec(gammas, dims=(12, 12, 12), size=3, noise=0.0, seed=0):
@@ -210,3 +215,95 @@ def test_repeated_runs_serialize_identically():
         modes, triset = run_msc_dbscan(t, epsilon=0.001)
         docs.append(clusters_to_json(0.001, "msc-dbscan", modes, triset))
     assert docs[0] == docs[1]
+
+
+def test_json_rejects_non_finite_numbers():
+    t, _ = generate(_block_spec([30.0]))
+    modes, triset = run_msc_dbscan(t, epsilon=0.001)
+    with pytest.raises(ValueError):
+        clusters_to_json(float("nan"), "msc-dbscan", modes, triset)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", FormatError),
+    (b"\xff\xfe\x00 garbage", FormatError),
+    ("[" * 100000 + "]" * 100000, FormatError),
+    ('{"epsilon": NaN, "modes": [], "triclusters": []}', FormatError),
+    ("[]", ValidationError),
+    ('{"triclusters": []}', ValidationError),
+    ('{"modes": [{"mode": true, "clusters": [], "d": []}], "triclusters": []}',
+     ValidationError),
+    ('{"modes": [], "triclusters": [{"j1": [0], "j2": [0], "j3": 0}]}',
+     ValidationError),
+])
+def test_clusters_from_json_rejects_bad_documents(text, error):
+    with pytest.raises(error):
+        clusters_from_json(text)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("run", [run_msc, run_msc_dbscan, run_msc_iterated])
+def test_non_finite_epsilon_raises(run, epsilon):
+    t, _ = generate(_block_spec([30.0]))
+    with pytest.raises(ValueError, match="epsilon"):
+        run(t, epsilon)
+
+
+def test_methods_table():
+    assert list(METHODS) == ["msc", "msc-dbscan", "msc-iterated"]
+    assert METHODS["msc-dbscan"] is run_msc_dbscan
+    assert METHODS["msc-iterated"] is run_msc_iterated
+    t, _ = generate(_block_spec([40.0, 20.0]))
+    modes, triset = METHODS["msc"](t, 0.001)
+    want_modes, want_triset = modes_from_msc(run_msc(t, 0.001), tensor=t)
+    assert [mc.clusters for mc in modes] == [mc.clusters for mc in want_modes]
+    assert triset == want_triset
+
+
+def test_iterated_rounds_in_order_of_strength():
+    t, _ = generate(_block_spec([160.0, 120.0, 90.0], dims=(16, 16, 16),
+                                size=4, noise=1.0))
+    modes, triset = run_msc_iterated(t, epsilon=0.001)
+    blocks = [tuple(range(4 * c, 4 * c + 4)) for c in range(3)]
+    for mc in modes:
+        assert mc.clusters[:3] == blocks
+        assert mc.noise == ()
+        # each mode's single-stage result is the first round's
+        assert mc.msc.cluster == mc.clusters[0]
+        assert mc.msc.converged
+    assert triset.pairing_rule == "extraction-round"
+    assert [tc.j1 for tc in triset.triclusters][:3] == blocks
+    scores = [tc.score for tc in triset.triclusters[:3]]
+    assert scores == sorted(scores, reverse=True)
+
+
+def test_iterated_stops_on_zero_complement():
+    t, _ = generate(_block_spec([40.0, 20.0]))
+    modes, triset = run_msc_iterated(t, epsilon=0.001)
+    for mc in modes:
+        assert mc.clusters == [(0, 1, 2), (3, 4, 5)]
+    assert len(triset.triclusters) == 2
+
+
+def test_iterated_stops_when_a_complement_has_under_three_slices():
+    # after the first round mode 1 keeps 2 slices; another round would
+    # need 3 and raise ValueError
+    t, _ = generate(_block_spec([40.0], dims=(5, 12, 12)))
+    modes, triset = run_msc_iterated(t, epsilon=0.001)
+    for mc in modes:
+        assert mc.clusters == [(0, 1, 2)]
+    assert len(triset.triclusters) == 1
+    with pytest.raises(ValueError):
+        run_msc(t.subcube((3, 4), range(3, 12), range(3, 12)), 0.001)
+
+
+def test_iterated_first_round_errors_propagate():
+    g = np.array([2.0, 2.0, 1.0, 1.0, 1.0])
+    h = np.array([3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    gapless = Tensor3(np.ones((4, 5, 6)) * g[None, :, None] * h[None, None, :])
+    with pytest.raises(NoGapError):
+        run_msc_iterated(gapless, epsilon=0.01)
+    with pytest.raises(DegenerateInputError):
+        run_msc_iterated(Tensor3(np.zeros((5, 5, 5))), epsilon=0.01)
+    with pytest.raises(ValueError):
+        run_msc_iterated(Tensor3(np.ones((2, 6, 6))), epsilon=0.01)

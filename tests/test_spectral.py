@@ -194,10 +194,6 @@ def test_top_eigenvalue_is_squared_operator_norm():
 def test_eig_config_validation():
     with pytest.raises(ValueError):
         EigConfig(method="lanczos")
-    with pytest.raises(ValueError):
-        EigConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        EigConfig(max_iter=0)
 
 
 def test_top_eigen_exact_route():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from msc3 import (
     Component,
+    FormatError,
     SynthSpec,
     ValidationError,
     benchmark_spec,
@@ -169,6 +170,20 @@ def test_truth_json_round_trip_and_key_order():
     assert doc["gammas"] == [65.0, 65.0]
     assert doc["seed"] == 4
     assert list(doc["modes"][0].keys()) == ["mode", "clusters"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", FormatError),
+    ('{"dims": [Infinity, 4, 4], "modes": []}', FormatError),
+    ("[]", ValidationError),
+    ('{"dims": [4, 4, 4]}', ValidationError),
+    ('{"dims": [4.5, 4, 4], "modes": []}', ValidationError),
+    ('{"dims": [4, 4, 4], "modes": [{"clusters": [[0, 1], 2]}]}',
+     ValidationError),
+])
+def test_truth_from_json_rejects_bad_documents(text, error):
+    with pytest.raises(error):
+        truth_from_json(text)
 
 
 def test_noiseless_generate_recovers_exactly():
