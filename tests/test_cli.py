@@ -293,27 +293,15 @@ def test_sweep_nonfinite_epsilon_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
-def _iterated_exit_code(tmp_path, capsys, data):
+@pytest.mark.parametrize("dims", [(2, 6, 6), (6, 1, 6), (6, 6, 2)])
+def test_cluster_iterated_small_dims_exit_2(tmp_path, capsys, dims):
     path = tmp_path / "x.t3b"
-    save_tensor(Tensor3(data), str(path))
+    save_tensor(Tensor3(np.random.default_rng(0).standard_normal(dims)), str(path))
     rc = main(["cluster", str(path), "--method", "msc-iterated"])
+    assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    return rc
-
-
-def test_cluster_iterated_gapless_exits_3(tmp_path, capsys):
-    g = np.array([2.0, 2.0, 1.0, 1.0, 1.0])
-    h = np.array([3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
-    data = np.ones((4, 5, 6)) * g[None, :, None] * h[None, None, :]
-    assert _iterated_exit_code(tmp_path, capsys, data) == 3
-
-
-@pytest.mark.parametrize("dims", [(2, 6, 6), (6, 1, 6), (6, 6, 2)])
-def test_cluster_iterated_small_dims_exit_2(tmp_path, capsys, dims):
-    data = np.random.default_rng(0).standard_normal(dims)
-    assert _iterated_exit_code(tmp_path, capsys, data) == 2
 
 
 def _run_sweep(tmp_path, name):
