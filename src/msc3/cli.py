@@ -9,6 +9,7 @@ seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -69,6 +70,8 @@ def _parse_gamma_range(text):
     if len(parts) != 3:
         raise ValueError(f"--gamma wants start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"--gamma range must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("gamma step must be positive")
     if stop < start:
@@ -214,6 +217,8 @@ def _format_row(row):
 
 def cmd_sweep(args):
     gammas = _parse_gamma_range(args.gamma)
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
     tasks = [

@@ -41,9 +41,12 @@ def dbscan(points, radius, minpts):
     if minpts < 1:
         raise ValueError("minpts must be at least 1")
     n = pts.shape[0]
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    neighbors = [np.flatnonzero(dist[i] <= radius) for i in range(n)]
+    # one row of distances at a time keeps memory at O(n * dim)
+    neighbors = []
+    for p in pts:
+        diff = pts - p
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        neighbors.append(np.flatnonzero(dist <= radius))
     core = np.array([len(nb) >= minpts for nb in neighbors])
 
     labels = np.full(n, UNVISITED, dtype=int)

@@ -1,9 +1,9 @@
 """Slice covariance matrices and eigen solvers.
 
-Two independent routes to the top eigenpair are kept on purpose: power
-iteration (the production path) and a cyclic Jacobi full-spectrum solver
-(the exact path, also used as a cross-check oracle in the tests). They share
-no code beyond numpy primitives.
+Two independent routes to the top eigenpair are kept on purpose: a dense
+LAPACK solve (the default path, named 'power' for compatibility) and a
+cyclic Jacobi full-spectrum solver (the exact path, also the independent
+eigen oracle in the tests). They share no code beyond numpy primitives.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 
 JACOBI_MAX_N = 512
-
-# power steps between Rayleigh-Ritz rotations: long enough for the plain
-# steps to damp components outside the leading plane, short enough that
-# near-tied pairs still resolve in a few hundred iterations
-_RITZ_EVERY = 40
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,7 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class EigConfig:
-    """Eigen solver selection: 'power' iteration or 'exact' (Jacobi)."""
+    """Eigen solver: 'power' (LAPACK, the default) or 'exact' (Jacobi)."""
 
     method: str = "power"
 
@@ -80,54 +75,17 @@ def _fix_sign(v):
     return v
 
 
-def _ritz_step(c, x, y, lam, resvec, res):
-    """Best unit vector in span{x, Cx} by the 2x2 Rayleigh-Ritz problem.
+def top_eigenpair(c, tol=1e-10):
+    """Dominant eigenpair of a symmetric PSD matrix by a dense LAPACK solve.
 
-    Plain power iteration stalls when the two leading eigenvalues nearly
-    coincide (the iterate rotates inside their plane at a rate set by the
-    tiny gap); the Ritz extraction resolves that plane in one step. It must
-    be interleaved with plain steps: the rotation direction is built from
-    the residual, so components outside the leading plane pollute it, and
-    only the plain steps contract those away.
-    """
-    q2 = resvec / res
-    q2 -= float(x @ q2) * x
-    q2n = float(np.linalg.norm(q2))
-    if q2n <= 1e-30:
-        return y / float(np.linalg.norm(y))
-    q2 /= q2n
-    cq2 = c @ q2
-    a12 = float(q2 @ y)
-    a22 = float(q2 @ cq2)
-    half = 0.5 * (lam - a22)
-    mu = 0.5 * (lam + a22) + float(np.hypot(half, a12))
-    w = (a12, mu - lam)
-    alt = (mu - a22, a12)
-    if alt[0] * alt[0] + alt[1] * alt[1] > w[0] * w[0] + w[1] * w[1]:
-        w = alt
-    wn = float(np.hypot(w[0], w[1]))
-    if wn <= 1e-30:
-        return y / float(np.linalg.norm(y))
-    xnew = (w[0] / wn) * x + (w[1] / wn) * q2
-    return xnew / float(np.linalg.norm(xnew))
-
-
-def top_eigenpair(c, tol=1e-10, max_iter=5000):
-    """Dominant eigenpair of a symmetric PSD matrix via power iteration.
-
-    Deterministic: starts from the normalized all-ones vector and restarts
-    with basis vectors e1, e2, ... if an iterate lands in the nullspace.
-    Most updates are plain power steps; every _RITZ_EVERY-th update takes
-    the top Rayleigh-Ritz pair of span{x, Cx} instead, which rotates the
-    iterate through near-tied leading eigenvalues that plain power steps
-    cannot separate. Stops when ||C v - lambda v|| <= tol * max(lambda, 1).
-    The returned vector has its largest-magnitude entry nonnegative.
+    Takes the largest pair from numpy.linalg.eigh and checks it against the
+    residual contract ||C v - lambda v|| <= tol * max(lambda, 1), raising
+    ConvergenceError (with the residual) if the solve misses it. The
+    returned vector has its largest-magnitude entry nonnegative.
     """
     c = _check_symmetric(c)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     n = c.shape[0]
     scale = float(np.sqrt((c * c).sum()))
     if scale == 0.0:
@@ -135,49 +93,16 @@ def top_eigenpair(c, tol=1e-10, max_iter=5000):
         e1[0] = 1.0
         return EigenPair(0.0, e1, degenerate=True)
 
-    x = np.ones(n) / np.sqrt(n)
-    restart = 0
-    res = np.inf
-    for it in range(max_iter):
-        y = c @ x
-        ynorm = float(np.linalg.norm(y))
-        if ynorm <= 1e-14 * scale:
-            # stagnant near-zero image: restart from the next basis vector
-            if restart >= n:
-                break
-            x = np.zeros(n)
-            x[restart] = 1.0
-            restart += 1
-            continue
-        lam = float(x @ y)
-        resvec = y - lam * x
-        res = float(np.linalg.norm(resvec))
-        if res <= tol * max(lam, 1.0):
-            return EigenPair(max(lam, 0.0), _fix_sign(x))
-        if (it + 1) % _RITZ_EVERY == 0:
-            # rotating along a residual direction still polluted by
-            # components outside the leading plane can stall the iteration,
-            # so keep the rotation only when it lowers the true residual
-            xr = _ritz_step(c, x, y, lam, resvec, res)
-            yr = c @ xr
-            lamr = float(xr @ yr)
-            resr = float(np.linalg.norm(yr - lamr * xr))
-            x = xr if resr < res else y / ynorm
-        else:
-            x = y / ynorm
-    else:
-        # the loop ended on an un-checked update; accept it if it meets
-        # the residual contract
-        y = c @ x
-        lam = float(x @ y)
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= tol * max(lam, 1.0):
-            return EigenPair(max(lam, 0.0), _fix_sign(x))
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(residual {res:.3e})",
-        residual=res,
-    )
+    vals, vecs = np.linalg.eigh(c)
+    lam = float(vals[-1])
+    v = vecs[:, -1].copy()
+    res = float(np.linalg.norm(c @ v - lam * v))
+    if res > tol * max(lam, 1.0):
+        raise ConvergenceError(
+            f"eigenpair residual {res:.3e} exceeds {tol:.1e} * max(lambda, 1)",
+            residual=res,
+        )
+    return EigenPair(max(lam, 0.0), _fix_sign(v))
 
 
 def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):

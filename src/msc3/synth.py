@@ -91,10 +91,14 @@ def generate(spec):
     member sets must be pairwise disjoint within each mode.
     """
     m1, m2, m3 = spec.dims
+    if not (math.isfinite(spec.noise_scale) and spec.noise_scale >= 0):
+        raise ValidationError(
+            f"noise_scale must be finite and nonnegative, got {spec.noise_scale}")
     members = [[], [], []]
     for comp in spec.components:
-        if comp.gamma <= 0:
-            raise ValidationError(f"component gamma must be positive, got {comp.gamma}")
+        if not (math.isfinite(comp.gamma) and comp.gamma > 0):
+            raise ValidationError(
+                f"component gamma must be finite and positive, got {comp.gamma}")
         for axis, (j, m) in enumerate(
             ((comp.j1, m1), (comp.j2, m2), (comp.j3, m3))
         ):
@@ -114,8 +118,6 @@ def generate(spec):
         v = unit_cluster_vector(ms[2], m3)
         signal += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
 
-    if spec.noise_scale < 0:
-        raise ValidationError("noise_scale must be nonnegative")
     if spec.noise_scale > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         z = boxmuller_normals(rng, m1 * m2 * m3).reshape(spec.dims)

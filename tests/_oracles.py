@@ -2,8 +2,10 @@
 
 Everything here is deliberately written by a different route than the
 production code: ARI by brute-force pair counting instead of a contingency
-table, density clustering by reachability closure instead of queue expansion,
-eigensystems by LAPACK instead of power iteration or Jacobi sweeps.
+table, density clustering by reachability closure instead of queue expansion.
+Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
+eigenpair route does, so the independent eigen oracle is the Jacobi solver
+(spectral.full_eigen_jacobi), which shares no code with LAPACK.
 """
 
 import math
@@ -113,5 +115,5 @@ def set_partitions(n):
 
 
 def eigh_top(c):
-    """Top eigenvalue via LAPACK, the external third route for eigen checks."""
+    """Top eigenvalue via LAPACK eigvalsh (the default route uses eigh)."""
     return float(np.linalg.eigvalsh(np.asarray(c, dtype=float))[-1])

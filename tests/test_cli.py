@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +57,23 @@ def test_synth_oversized_blocks_exit_2(tmp_path, capsys):
     rc = main(_synth_args(tmp_path, dims="5,5,5", rank=2, size=3))
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("noise", "nan"), ("noise", "inf"), ("gamma", "inf"), ("gamma", "nan"),
+])
+def test_synth_nonfinite_input_exits_2_without_warning(tmp_path, capsys, flag,
+                                                       value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(_synth_args(tmp_path, **{flag: value}))
+    assert rc == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Warning" not in captured.err
+    assert not (tmp_path / "t.t3b").exists()
 
 
 def test_cluster_missing_file_exits_1(tmp_path, capsys):
@@ -358,19 +377,39 @@ def test_sweep_bad_gamma_range_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--gamma", "10:inf:10"],
+    ["--gamma", "nan:nan:5"],
+    ["--gamma", "20:20:5", "--runs", "0"],
+])
+def test_sweep_bad_range_or_runs_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--dims", "12,12,12", "--cluster-size", "3",
+               "-o", str(out), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_module_entry_point_runs(tmp_path):
+    # pytest's pythonpath setting does not reach subprocesses
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "cli.t3b"
     proc = subprocess.run(
         [sys.executable, "-m", "msc3", "synth", "--dims", "6,6,6",
          "--gamma", "12", "--cluster-size", "2", "--noise", "0",
          "-o", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     proc = subprocess.run(
         [sys.executable, "-m", "msc3", "cluster", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

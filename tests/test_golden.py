@@ -4,7 +4,9 @@ For every case x method x eigensolver x epsilon, tests/golden/cluster.json
 holds the exit code and the exact stdout (the clusters JSON, or nothing on
 an error); tests/golden/sweep.json holds one sweep's aggregate CSV and its
 results CSV without the wall_ms column. A refactor must keep all of them
-byte for byte. To record an intended output change, rewrite the files with
+byte for byte. The two eigensolver routes must also agree with each other:
+the same output apart from d, and d within 1e-11 relative. To record an
+intended output change, rewrite the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -135,6 +137,26 @@ def test_cluster_matches_golden(cluster_runs, cluster_golden, case, method,
     got = cluster_runs[key]
     assert got["exit"] == want["exit"]
     assert got["stdout"] == want["stdout"]
+
+
+def _without_d(doc):
+    return {**doc, "modes": [{**m, "d": None} for m in doc["modes"]]}
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_power_and_exact_routes_agree(cluster_runs, case, method, eps):
+    power = cluster_runs[_key(case, method, "power", eps)]
+    exact = cluster_runs[_key(case, method, "exact", eps)]
+    assert power["exit"] == exact["exit"]
+    if not power["stdout"]:
+        assert exact["stdout"] == ""
+        return
+    p, e = json.loads(power["stdout"]), json.loads(exact["stdout"])
+    assert _without_d(p) == _without_d(e)
+    for pm, em in zip(p["modes"], e["modes"]):
+        assert pm["d"] == pytest.approx(em["d"], rel=1e-11, abs=0.0)
 
 
 def test_golden_covers_every_run(cluster_runs, cluster_golden):

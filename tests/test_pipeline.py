@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from msc3 import (
     benchmark_spec,
     clusters_from_json,
     clusters_to_json,
+    dbscan,
     generate,
     modes_from_msc,
     pair_triclusters,
@@ -117,6 +119,20 @@ def test_modes_are_independent_under_slice_permutation():
     mapped = {frozenset(int(np.flatnonzero(perm == i)[0]) for i in c)
               for c in modes_a[1].clusters}
     assert as_sets(modes_b[1]) == mapped
+
+
+def test_dbscan_memory_grows_with_points_not_pairs():
+    # an all-pairs difference array would take n * n * dim * 8 = 128 MB here
+    # (256 MB with its square); row-wise distances need about 2 MB
+    pts = np.random.default_rng(0).standard_normal((200, 400))
+    tracemalloc.start()
+    try:
+        labels = dbscan(pts, radius=30.0, minpts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (200,)
+    assert peak < 32 * 2**20
 
 
 def test_pair_one_cluster_per_mode():
