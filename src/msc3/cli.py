@@ -219,6 +219,8 @@ def cmd_sweep(args):
     gammas = _parse_gamma_range(args.gamma)
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
     tasks = [

@@ -88,13 +88,15 @@ def slice_spectra(t, mode, config=None):
     m = t.dims[mode - 1]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    lams = np.empty(m)
-    vecs = []
-    for i in range(m):
-        c = covariance(t.slice(mode, i))
-        pair = top_eigen(c, cfg)
-        lams[i] = pair.value
-        vecs.append(pair.vector)
+    covs = (covariance(t.slice(mode, i)) for i in range(m))
+    if cfg.method == "exact":
+        # one Jacobi call solves the whole mode; the power route keeps one
+        # covariance alive at a time, as large modes need
+        pairs = top_eigen(np.stack(list(covs)), cfg)
+    else:
+        pairs = [top_eigen(c, cfg) for c in covs]
+    lams = np.array([pair.value for pair in pairs])
+    vecs = [pair.vector for pair in pairs]
     lam_max = float(lams.max())
     if lam_max <= 0.0:
         raise DegenerateInputError(

@@ -2,8 +2,14 @@
 
 Two independent routes to the top eigenpair are kept on purpose: a dense
 LAPACK solve (the default path, named 'power' for compatibility) and a
-cyclic Jacobi full-spectrum solver (the exact path, also the independent
-eigen oracle in the tests). They share no code beyond numpy primitives.
+Jacobi full-spectrum solver (the exact path, also the independent eigen
+oracle in the tests). They share no code beyond numpy primitives.
+
+The Jacobi solver uses the round-robin ("circle") parallel ordering of
+Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
+of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
+row, column and eigenvector update. It also takes a stack of matrices, so
+one call solves every slice covariance of a mode.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 
 JACOBI_MAX_N = 512
+# working-array budget of one stacked Jacobi solve; a stack is solved in
+# chunks of matrices whose working arrays (about 80 n^2 bytes each) fit it
+_JACOBI_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -55,13 +64,17 @@ def covariance(m):
     return upper + np.triu(c, 1).T
 
 
-def _check_symmetric(c):
+def _check_symmetric(c, stacked=False):
+    # one square matrix, or with stacked=True a (k, n, n) stack of them
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {c.shape}")
+    if c.ndim != 2 + stacked or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
+        kind = "stack of square matrices" if stacked else "square matrix"
+        raise ValueError(f"expected a {kind}, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValidationError("matrix contains NaN or Inf entries")
-    if c.shape[0] > 1 and np.abs(c - c.T).max() > 1e-9:
+    if c.shape[-1] > 1 and c.size and (
+        np.abs(c - np.swapaxes(c, -1, -2)).max() > 1e-9
+    ):
         raise ValidationError("matrix is not symmetric within 1e-9")
     return c
 
@@ -106,84 +119,184 @@ def top_eigenpair(c, tol=1e-10):
 
 
 def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):
-    """All eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
+    """All eigenpairs of a symmetric matrix by parallel-order Jacobi rotations.
 
     Reduces the off-diagonal Frobenius norm below tol_factor * ||C||_F and
     returns EigenPairs sorted by descending eigenvalue. Capped at n <= 512;
     this solver exists for exact small-scale work and as the independent
     cross-check for top_eigenpair.
+
+    c may also be a stack (k, n, n); the result is then a list of k such
+    lists. Each matrix keeps its own threshold and stops rotating once its
+    own off-diagonal norm passes, so its pairs are bit for bit those it
+    gets when solved alone. ConvergenceError carries the largest residual
+    of the matrices that did not converge.
     """
-    a = _check_symmetric(c).copy()
-    n = a.shape[0]
+    if not tol_factor > 0:
+        raise ValueError("tol_factor must be positive")
+    c = np.asarray(c, dtype=np.float64)
+    stacked = c.ndim == 3
+    a = _check_symmetric(c, stacked=stacked)
+    if not stacked:
+        a = a[np.newaxis]
+    n = a.shape[-1]
     if n > JACOBI_MAX_N:
         raise ValueError(f"jacobi solver capped at n={JACOBI_MAX_N}, got {n}")
-    v = np.eye(n)
-    fnorm = float(np.sqrt((a * a).sum()))
-    if fnorm == 0.0:
-        return [EigenPair(0.0, v[:, i].copy(), degenerate=True) for i in range(n)]
-    thresh = tol_factor * fnorm
+    chunk = max(1, _JACOBI_CHUNK_BYTES // (80 * n * n))
+    out = []
+    for lo in range(0, a.shape[0], chunk):
+        out.extend(_jacobi_stack(a[lo:lo + chunk], tol_factor, max_sweeps))
+    return out if stacked else out[0]
+
+
+def _jacobi_stack(a, tol_factor, max_sweeps):
+    # rotates only the matrices still above their own threshold; the rest
+    # leave the working arrays as they converge
+    k, n, _ = a.shape
+    eye = np.eye(n)
+    out = [None] * k
+    fnorm = np.sqrt((a * a).reshape(k, -1).sum(axis=1))
+    for i in np.flatnonzero(fnorm == 0.0):
+        out[i] = [EigenPair(0.0, eye[:, j].copy(), degenerate=True)
+                  for j in range(n)]
+    idx = np.flatnonzero(fnorm != 0.0)
+    if idx.size == 0:
+        return out
+    # work in the layout of the first step, where the pairs sit at positions
+    # (0, 1), (2, 3), ...; odd n gets a zero row and column for the dummy
+    # index, whose pivots are 0 and so are always skipped. Each matrix and
+    # its eigenvectors share one (2m, m) block, so that one column update
+    # serves both.
+    layouts = _round_robin(n)
+    first = layouts[0]
+    m = first.size
+    moves = np.take_along_axis(
+        np.argsort(layouts, axis=1), np.roll(layouts, -1, axis=0), axis=1)
+    rows = np.concatenate((moves, np.broadcast_to(np.arange(m, 2 * m),
+                                                  moves.shape)), axis=1)
+    at = np.argsort(first)[:n]  # the position of each index
+    w = np.zeros((idx.size, 2 * m, m))
+    w[:, at[:, np.newaxis], at] = a[idx]
+    w[:, m + first, np.arange(m)] = 1.0
+    thresh = tol_factor * fnorm[idx]
     # pivots at or below this leave the off-diagonal norm under thresh even
     # if none of them is ever rotated: n(n-1) entries of size thresh/(2n)
     # give a Frobenius norm of at most thresh/2
-    skip = thresh / (2.0 * n)
+    skip = (thresh / (2.0 * n))[:, np.newaxis]
     for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # 1/(|theta| + sqrt(1 + theta^2)) underflows; use the
-                    # first-order form to dodge overflow in theta*theta
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = (1.0 if theta >= 0 else -1.0) / (
-                        abs(theta) + np.sqrt(1.0 + theta * theta)
-                    )
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = cth * rp - sth * rq
-                a[q, :] = sth * rp + cth * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = cth * cp - sth * cq
-                a[:, q] = sth * cp + cth * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cth * vp - sth * vq
-                v[:, q] = sth * vp + cth * vq
-    else:
-        raise ConvergenceError(
-            f"jacobi did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {_offdiag_norm(a):.3e})",
-            residual=_offdiag_norm(a),
-        )
-    vals = np.diag(a).copy()
+        done = _offdiag_norms(w[:, :m]) <= thresh
+        if done.any():
+            for j in np.flatnonzero(done):
+                out[idx[j]] = _sorted_pairs(w[j, :m], w[j, m:], first, n)
+            keep = ~done
+            w, idx, thresh, skip = w[keep], idx[keep], thresh[keep], skip[keep]
+            if idx.size == 0:
+                return out
+        # each step rotates its pairs, then moves the next step's pairs
+        # into place; the last move returns to the first layout
+        for row, move in zip(rows, moves):
+            _rotate(w, skip)
+            w = w[:, row[:, np.newaxis], move]
+    res = _offdiag_norms(w[:, :m])
+    raise ConvergenceError(
+        f"jacobi did not converge in {max_sweeps} sweeps "
+        f"(off-diagonal norm {res.max():.3e})",
+        residual=float(res.max()),
+    )
+
+
+def _round_robin(n):
+    """Brent-Luk circle ordering of the index pairs of an n x n matrix.
+
+    Returns an (m - 1, m) array, m being n rounded up to even: row r lists
+    the indices so that positions (0, 1), (2, 3), ... hold the disjoint
+    pairs of step r, smaller index first. Over the m - 1 steps every
+    unordered pair meets exactly once. Index 0 stays put while the others
+    turn around a circle, position i meeting position m - 1 - i. For odd n
+    the dummy index n completes the pairing.
+    """
+    m = n + n % 2
+    ring = np.arange(1, m)
+    layouts = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, r)))
+        x, y = order[: m // 2], order[::-1][: m // 2]
+        layouts.append(np.column_stack((np.minimum(x, y), np.maximum(x, y))))
+    return np.array(layouts).reshape(m - 1, m)
+
+
+def _rotate(w, skip):
+    # one Jacobi rotation per (matrix, pair) on the pairs at positions
+    # (2i, 2i + 1) of the C-contiguous stack w, whose blocks hold a matrix
+    # above its eigenvectors; a pivot at or below its matrix's skip level
+    # gets the identity rotation. Masked lanes never divide by zero, and
+    # hypot keeps 1/(|theta| + sqrt(1 + theta^2)) finite where theta^2
+    # would overflow.
+    k, m = w.shape[0], w.shape[2]
+    a = w.reshape(k, 2 * m * m)[:, : m * m]
+    diag = a[:, :: m + 1]
+    upper = a[:, 1 :: 2 * (m + 1)]
+    lower = a[:, m :: 2 * (m + 1)]
+    rot = np.abs(upper) > skip
+    theta = (diag[:, 1::2] - diag[:, 0::2]) / np.where(rot, 2.0 * upper, 1.0)
+    t = np.where(theta >= 0, 1.0, -1.0) / (np.abs(theta) + np.hypot(1.0, theta))
+    t = np.where(rot, t, 0.0)
+    cth = 1.0 / np.sqrt(1.0 + t * t)
+    sth = t * cth
+    _pair_update(w[:, 0:m:2, :], w[:, 1:m:2, :],
+                 cth[:, :, np.newaxis], sth[:, :, np.newaxis])
+    _pair_update(w[:, :, 0::2], w[:, :, 1::2],
+                 cth[:, np.newaxis, :], sth[:, np.newaxis, :])
+    np.copyto(upper, 0.0, where=rot)
+    np.copyto(lower, 0.0, where=rot)
+
+
+def _pair_update(xp, xq, c, s):
+    # (xp, xq) <- (c xp - s xq, s xp + c xq), in place through the views
+    new_p = c * xp - s * xq
+    xq[...] = s * xp + c * xq
+    xp[...] = new_p
+
+
+def _sorted_pairs(a, v, layout, n):
+    # a and v are in the given layout; put them back in index order and drop
+    # the dummy index, so that ties in the eigenvalues go to the lower index
+    vals = np.empty(layout.size)
+    vals[layout] = np.diag(a)
+    vecs = np.empty_like(v)
+    vecs[:, layout] = v
+    vals, vecs = vals[:n], vecs[:n, :n]
     order = np.argsort(-vals, kind="stable")
     return [
-        EigenPair(float(vals[i]), _fix_sign(v[:, i].copy())) for i in order
+        EigenPair(float(vals[i]), _fix_sign(vecs[:, i].copy())) for i in order
     ]
 
 
-def _offdiag_norm(a):
+def _offdiag_norms(a):
     # measured on the actual off-diagonal entries; the algebraic shortcut
     # ||A||_F^2 - sum(diag^2) cancels catastrophically near convergence
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.sqrt((b * b).sum()))
+    sq = a * a
+    d = np.arange(a.shape[-1])
+    sq[:, d, d] = 0.0
+    return np.sqrt(sq.reshape(len(sq), -1).sum(axis=1))
 
 
 def top_eigen(c, config=None):
-    """Top eigenpair via the configured method ('power' or 'exact')."""
+    """Top eigenpair via the configured method ('power' or 'exact').
+
+    c may also be a stack (k, n, n), which gives a list of k pairs: the
+    power route solves its matrices one at a time, the exact route in one
+    Jacobi call.
+    """
     cfg = config or EigConfig()
+    stack = np.asarray(c, dtype=np.float64)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[np.newaxis]
     if cfg.method == "power":
-        return top_eigenpair(c)
-    top = full_eigen_jacobi(c)[0]
-    return EigenPair(max(top.value, 0.0), top.vector, top.degenerate)
+        pairs = [top_eigenpair(mat) for mat in stack]
+    else:
+        tops = [spectrum[0] for spectrum in full_eigen_jacobi(stack)]
+        pairs = [EigenPair(max(t.value, 0.0), t.vector, t.degenerate)
+                 for t in tops]
+    return pairs[0] if single else pairs

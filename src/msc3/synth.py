@@ -147,6 +147,8 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if rank < 1:
+        raise ValidationError(f"rank must be at least 1, got {rank}")
     if rank * cluster_size > min(dims):
         raise ValueError(
             f"rank {rank} x cluster size {cluster_size} exceeds min dim {min(dims)}"

@@ -5,7 +5,8 @@ production code: ARI by brute-force pair counting instead of a contingency
 table, density clustering by reachability closure instead of queue expansion.
 Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
 eigenpair route does, so the independent eigen oracle is the Jacobi solver
-(spectral.full_eigen_jacobi), which shares no code with LAPACK.
+(spectral.full_eigen_jacobi, round-robin ordering, numpy only), which
+shares no code with LAPACK.
 """
 
 import math

@@ -381,6 +381,10 @@ def test_sweep_bad_gamma_range_exits_2(tmp_path, capsys):
     ["--gamma", "10:inf:10"],
     ["--gamma", "nan:nan:5"],
     ["--gamma", "20:20:5", "--runs", "0"],
+    ["--gamma", "20:20:5", "--rank", "0"],
+    ["--gamma", "20:20:5", "--rank", "-1"],
+    ["--gamma", "20:20:5", "--jobs", "0"],
+    ["--gamma", "20:20:5", "--jobs", "-3"],
 ])
 def test_sweep_bad_range_or_runs_exits_2(tmp_path, capsys, extra):
     out = tmp_path / "s.csv"

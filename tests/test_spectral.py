@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from msc3 import (
     top_eigen,
     top_eigenpair,
 )
+from msc3 import spectral
+from msc3.spectral import _round_robin
 
 from _oracles import eigh_top
 
@@ -107,9 +112,8 @@ def test_top_eigenpair_nonconvergence_reports_residual():
     assert exc.value.residual > 1e-300 * eigh_top(c)
 
 
-def test_top_eigenpair_ones_in_nullspace_restarts():
-    # the all-ones start vector is annihilated by this matrix, forcing the
-    # basis-vector restart path
+def test_top_eigenpair_ones_in_nullspace():
+    # a singular matrix whose null space holds the all-ones vector
     c = np.array([[1.0, -1.0], [-1.0, 1.0]])
     pair = top_eigenpair(c)
     assert pair.value == pytest.approx(2.0, abs=1e-9)
@@ -168,6 +172,98 @@ def test_jacobi_zero_matrix():
 def test_jacobi_size_cap():
     with pytest.raises(ValueError, match="512"):
         full_eigen_jacobi(np.eye(513))
+
+
+def _same_pairs(got, want):
+    return len(got) == len(want) and all(
+        g.value == w.value and g.degenerate == w.degenerate
+        and np.array_equal(g.vector, w.vector)
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_jacobi_stack_matches_single_solves_bit_for_bit(n):
+    # zero matrices, already-diagonal ones and random ones that need a
+    # different number of sweeps each
+    rng = np.random.default_rng(n)
+    mats = [random_psd(n, seed=10 * n + i) for i in range(4)]
+    mats += [np.zeros((n, n)), np.diag(rng.standard_normal(n)),
+             1e6 * random_psd(n, seed=99), np.zeros((n, n))]
+    stack = np.stack(mats)
+    got = full_eigen_jacobi(stack)
+    assert len(got) == len(mats)
+    for pairs, c in zip(got, mats):
+        assert _same_pairs(pairs, full_eigen_jacobi(c))
+    assert all(p.degenerate for p in got[4])
+
+
+def test_jacobi_stack_in_chunks_matches_single_solves(monkeypatch):
+    # a stack larger than one chunk is solved chunk by chunk
+    stack = np.stack([random_psd(5, seed=s) for s in range(7)])
+    monkeypatch.setattr(spectral, "_JACOBI_CHUNK_BYTES", 3 * 80 * 5 * 5)
+    got = full_eigen_jacobi(stack)
+    for pairs, c in zip(got, stack):
+        assert _same_pairs(pairs, full_eigen_jacobi(c))
+
+
+def test_jacobi_validates_input():
+    stack = np.stack([np.eye(3), np.array([[1.0, 2.0, 0.0],
+                                           [0.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]])])
+    with pytest.raises(ValidationError):
+        full_eigen_jacobi(stack)
+    with pytest.raises(ValueError):
+        full_eigen_jacobi(np.zeros((2, 3, 4)))
+    assert full_eigen_jacobi(np.zeros((0, 3, 3))) == []
+    for tol_factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol_factor"):
+            full_eigen_jacobi(np.eye(3), tol_factor=tol_factor)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_covers_each_pair_once(n):
+    layouts = _round_robin(n)
+    m = n + n % 2
+    assert layouts.shape == (max(m - 1, 1), m)
+    seen = []
+    for layout in layouts:
+        # a permutation of the indices, so each step's pairs are disjoint
+        assert sorted(layout.tolist()) == list(range(m))
+        for p, q in layout.reshape(-1, 2).tolist():
+            assert p < q
+            if q < n:
+                seen.append((p, q))
+    assert sorted(seen) == list(itertools.combinations(range(n), 2))
+
+
+@pytest.mark.parametrize("c, kwargs", [
+    # theta = 0 on the only pivot
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), {}),
+    # a pivot below the skip level beside one that is rotated
+    (np.array([[1.0, 1e-200, 0.5], [1e-200, 2.0, 0.0], [0.5, 0.0, 3.0]]), {}),
+    # the same tiny pivot rotated, with theta near 5e199
+    (np.array([[1.0, 1e-200, 0.5], [1e-200, 2.0, 0.0], [0.5, 0.0, 3.0]]),
+     {"tol_factor": 1e-300}),
+])
+def test_jacobi_edge_pivots_raise_no_warning(c, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = full_eigen_jacobi(c, **kwargs)
+    vals = np.array([p.value for p in pairs])
+    ref = np.linalg.eigvalsh(c)[::-1]
+    assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+
+
+def test_jacobi_nonconvergence_reports_residual():
+    c = random_psd(8, seed=4)
+    with pytest.raises(ConvergenceError) as exc:
+        full_eigen_jacobi(c, max_sweeps=1)
+    assert exc.value.residual > 1e-12 * np.sqrt((c * c).sum())
+    stack = np.stack([np.eye(8), c])
+    with pytest.raises(ConvergenceError) as exc_stack:
+        full_eigen_jacobi(stack, max_sweeps=1)
+    assert exc_stack.value.residual == exc.value.residual
 
 
 def test_power_agrees_with_jacobi_small():

@@ -140,6 +140,9 @@ def test_benchmark_spec_validates():
         benchmark_spec(0.0, seed=0)
     with pytest.raises(ValueError):
         benchmark_spec(10.0, seed=0, dims=(15, 15, 15), cluster_size=10, rank=2)
+    for rank in (0, -1):
+        with pytest.raises(ValidationError, match="rank"):
+            benchmark_spec(10.0, seed=0, rank=rank)
 
 
 def test_component_vectors_orthogonal():
