@@ -315,8 +315,7 @@ def build_parser():
     p.add_argument("--dims", default="50,50,50")
     p.add_argument("--cluster-size", type=int, default=10)
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("MSC3_JOBS", "1")),
+    p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over (gamma, seed) cells")
     p.add_argument("-o", "--out", required=True, help="results CSV path")
     p.add_argument("--aggregate", help="aggregate CSV path (default: <out>_agg)")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NoGapError
-from .spectral import EigConfig, covariance, top_eigen
+from .spectral import covariance, top_eigen
 
 EQUAL_TOL = 1e-12
 
@@ -48,8 +48,9 @@ class MscResult:
     """One mode's cluster with its diagnostics.
 
     bound is the spread allowance l * epsilon / 2 + sqrt(max(0, ln(m - l)))
-    at the final cluster size l. converged means every step between
-    consecutive sorted d values inside the cluster is at most the bound.
+    at the final cluster size l. converged means the cluster has 2 or more
+    members and every step between its consecutive sorted d values is at
+    most the bound.
     strength_ratio compares lambda_max against the random-slice baseline
     (sqrt(rows - 1) + sqrt(cols))^2 for this mode's slice shape; it is a
     diagnostic only and is never enforced.
@@ -84,17 +85,10 @@ def slice_spectra(t, mode, config=None):
     Raises DegenerateInputError when all slices are zero (nothing to
     normalize against).
     """
-    cfg = config or EigConfig()
     m = t.dims[mode - 1]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    covs = (covariance(t.slice(mode, i)) for i in range(m))
-    if cfg.method == "exact":
-        # one Jacobi call solves the whole mode; the power route keeps one
-        # covariance alive at a time, as large modes need
-        pairs = top_eigen(np.stack(list(covs)), cfg)
-    else:
-        pairs = [top_eigen(c, cfg) for c in covs]
+    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), config)
     lams = np.array([pair.value for pair in pairs])
     vecs = [pair.vector for pair in pairs]
     lam_max = float(lams.max())
@@ -172,14 +166,14 @@ def msc_mode(t, mode, epsilon, config=None):
 
     The similarity matrix is retained on the result for the density-split
     stage. A singleton seed (a lone outlying slice) is reported as an empty,
-    non-converged result rather than a cluster. Raises ValueError on a
-    non-finite epsilon.
+    non-converged result rather than a cluster. Raises ValueError on an
+    epsilon that is not finite and positive.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     spectra = slice_spectra(t, mode, config)
     sim = similarity_matrix(spectra)
-    rows, cols = t.slice(mode, 0).shape
+    rows, cols = t.dims[:mode - 1] + t.dims[mode:]
     baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2
     ratio = spectra.lambda_max / baseline if baseline > 0 else float("inf")
     m = t.dims[mode - 1]

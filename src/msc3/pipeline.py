@@ -75,7 +75,7 @@ def run_msc_dbscan(t, epsilon, config=None):
         except NoGapError as e:
             res = MscResult(mode=mode, cluster=(), d=e.d, epsilon=epsilon,
                             size=0, bound=0.0, converged=False)
-        if res.size < 2 or not res.converged:
+        if not res.converged:
             modes.append(ModeClustering(mode=mode, clusters=[], noise=(), msc=res))
             continue
         split = split_cluster(res.similarity, res.cluster, epsilon)
@@ -115,7 +115,7 @@ def modes_from_msc(results, tensor=None):
     """
     modes = []
     for res in results:
-        clusters = [tuple(res.cluster)] if res.converged and res.size >= 2 else []
+        clusters = [tuple(res.cluster)] if res.converged else []
         modes.append(
             ModeClustering(mode=res.mode, clusters=clusters, noise=(), msc=res)
         )
@@ -135,7 +135,7 @@ def run_msc_iterated(t, epsilon, config=None):
     first = results = run_msc(t, epsilon, config)
     active = [range(m) for m in t.dims]
     rounds = []
-    while all(r.converged and r.size >= 2 for r in results):
+    while all(r.converged for r in results):
         rounds.append(tuple(tuple(a[i] for i in r.cluster)
                             for a, r in zip(active, results)))
         active = [[i for i in a if i not in claimed]

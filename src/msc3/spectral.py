@@ -8,8 +8,11 @@ oracle in the tests). They share no code beyond numpy primitives.
 The Jacobi solver uses the round-robin ("circle") parallel ordering of
 Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
-row, column and eigenvector update. It also takes a stack of matrices, so
-one call solves every slice covariance of a mode.
+row, column and eigenvector update. It also takes a stack of matrices.
+
+top_eigen alone decides how a mode's covariances meet a solver: the power
+route takes them one at a time, the exact route stacks them for one
+Jacobi call.
 """
 
 from __future__ import annotations
@@ -28,15 +31,10 @@ _JACOBI_CHUNK_BYTES = 32 << 20
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue with a unit-norm eigenvector.
-
-    degenerate marks the zero-matrix fallback (value 0, vector e1), where the
-    eigenvector direction carries no information.
-    """
+    """Eigenvalue with a unit-norm eigenvector."""
 
     value: float
     vector: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,6 @@ def top_eigenpair(c, tol=1e-10):
     c = _check_symmetric(c)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = c.shape[0]
-    scale = float(np.sqrt((c * c).sum()))
-    if scale == 0.0:
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        return EigenPair(0.0, e1, degenerate=True)
-
     vals, vecs = np.linalg.eigh(c)
     lam = float(vals[-1])
     v = vecs[:, -1].copy()
@@ -151,17 +142,10 @@ def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):
 
 def _jacobi_stack(a, tol_factor, max_sweeps):
     # rotates only the matrices still above their own threshold; the rest
-    # leave the working arrays as they converge
+    # leave the working arrays as they converge, a zero matrix (threshold 0)
+    # at the first check with unit vectors in index order
     k, n, _ = a.shape
-    eye = np.eye(n)
     out = [None] * k
-    fnorm = np.sqrt((a * a).reshape(k, -1).sum(axis=1))
-    for i in np.flatnonzero(fnorm == 0.0):
-        out[i] = [EigenPair(0.0, eye[:, j].copy(), degenerate=True)
-                  for j in range(n)]
-    idx = np.flatnonzero(fnorm != 0.0)
-    if idx.size == 0:
-        return out
     # work in the layout of the first step, where the pairs sit at positions
     # (0, 1), (2, 3), ...; odd n gets a zero row and column for the dummy
     # index, whose pivots are 0 and so are always skipped. Each matrix and
@@ -175,10 +159,11 @@ def _jacobi_stack(a, tol_factor, max_sweeps):
     rows = np.concatenate((moves, np.broadcast_to(np.arange(m, 2 * m),
                                                   moves.shape)), axis=1)
     at = np.argsort(first)[:n]  # the position of each index
-    w = np.zeros((idx.size, 2 * m, m))
-    w[:, at[:, np.newaxis], at] = a[idx]
+    w = np.zeros((k, 2 * m, m))
+    w[:, at[:, np.newaxis], at] = a
     w[:, m + first, np.arange(m)] = 1.0
-    thresh = tol_factor * fnorm[idx]
+    idx = np.arange(k)
+    thresh = tol_factor * np.sqrt((a * a).reshape(k, -1).sum(axis=1))
     # pivots at or below this leave the off-diagonal norm under thresh even
     # if none of them is ever rotated: n(n-1) entries of size thresh/(2n)
     # give a Frobenius norm of at most thresh/2
@@ -281,22 +266,16 @@ def _offdiag_norms(a):
     return np.sqrt(sq.reshape(len(sq), -1).sum(axis=1))
 
 
-def top_eigen(c, config=None):
-    """Top eigenpair via the configured method ('power' or 'exact').
+def top_eigen(covs, config=None):
+    """Top eigenpair of each matrix in covs via the configured method.
 
-    c may also be a stack (k, n, n), which gives a list of k pairs: the
-    power route solves its matrices one at a time, the exact route in one
-    Jacobi call.
+    This is the one place that decides how a mode's covariances are solved:
+    'power' pulls them from the iterable one at a time through
+    top_eigenpair, so only one is alive at once; 'exact' stacks them for
+    one Jacobi call and clamps each top eigenvalue at 0. Returns a list
+    with one EigenPair per matrix.
     """
-    cfg = config or EigConfig()
-    stack = np.asarray(c, dtype=np.float64)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[np.newaxis]
-    if cfg.method == "power":
-        pairs = [top_eigenpair(mat) for mat in stack]
-    else:
-        tops = [spectrum[0] for spectrum in full_eigen_jacobi(stack)]
-        pairs = [EigenPair(max(t.value, 0.0), t.vector, t.degenerate)
-                 for t in tops]
-    return pairs[0] if single else pairs
+    if (config or EigConfig()).method == "power":
+        return [top_eigenpair(c) for c in covs]
+    return [EigenPair(max(spectrum[0].value, 0.0), spectrum[0].vector)
+            for spectrum in full_eigen_jacobi(np.stack(list(covs)))]

@@ -312,6 +312,38 @@ def test_sweep_nonfinite_epsilon_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("method", ["msc", "msc-dbscan", "msc-iterated"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_cluster_nonpositive_epsilon_exits_2(tmp_path, capsys, planted, method,
+                                             value):
+    # the gapless all-ones tensor never reaches refinement, so the check
+    # has to come before it
+    path = tmp_path / "t.t3b"
+    if planted:
+        main(_synth_args(tmp_path, dims="20,20,20", size=4, noise="1"))
+    else:
+        save_tensor(Tensor3(np.ones((4, 5, 6))), str(path))
+    capsys.readouterr()
+    rc = main(["cluster", str(path), "--method", method, f"--epsilon={value}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
+
+
+def test_bad_msc3_jobs_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    # --jobs has no environment-variable source
+    monkeypatch.setenv("MSC3_JOBS", "abc")
+    main(_synth_args(tmp_path))
+    rc = main(["cluster", str(tmp_path / "t.t3b"), "-o", str(tmp_path / "c.json")])
+    assert rc == 0
+    rc = main(["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims",
+               "12,12,12", "--cluster-size", "3", "-o", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dims", [(2, 6, 6), (6, 1, 6), (6, 6, 2)])
 def test_cluster_iterated_small_dims_exit_2(tmp_path, capsys, dims):
     path = tmp_path / "x.t3b"

@@ -265,6 +265,14 @@ def test_non_finite_epsilon_raises(run, epsilon):
         run(t, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+@pytest.mark.parametrize("run", [run_msc, run_msc_dbscan, run_msc_iterated])
+def test_non_positive_epsilon_raises_on_gapless_tensor(run, epsilon):
+    # all marginals equal: no gap to seed, so refinement is never reached
+    with pytest.raises(ValueError, match="epsilon"):
+        run(Tensor3(np.ones((4, 5, 6))), epsilon)
+
+
 def test_methods_table():
     assert list(METHODS) == ["msc", "msc-dbscan", "msc-iterated"]
     assert METHODS["msc-dbscan"] is run_msc_dbscan

@@ -60,7 +60,6 @@ def test_top_eigenpair_diagonal():
     pair = top_eigenpair(np.diag([4.0, 1.0]))
     assert pair.value == pytest.approx(4.0, abs=1e-10)
     assert pair.vector == pytest.approx([1.0, 0.0], abs=1e-9)
-    assert not pair.degenerate
 
 
 def test_top_eigenpair_closed_form_2x2():
@@ -80,10 +79,12 @@ def test_top_eigenpair_identity_degenerate_spectrum():
 
 
 def test_top_eigenpair_zero_matrix():
-    pair = top_eigenpair(np.zeros((4, 4)))
+    # eigh needs no special case: any unit vector is a top eigenvector
+    c = np.zeros((4, 4))
+    pair = top_eigenpair(c)
     assert pair.value == 0.0
-    assert np.array_equal(pair.vector, [1.0, 0.0, 0.0, 0.0])
-    assert pair.degenerate
+    assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(c @ pair.vector - pair.value * pair.vector) == 0.0
 
 
 def test_top_eigenpair_sign_rule():
@@ -164,9 +165,12 @@ def test_jacobi_vectors_orthonormal():
 
 
 def test_jacobi_zero_matrix():
-    pairs = full_eigen_jacobi(np.zeros((3, 3)))
-    assert all(p.value == 0.0 for p in pairs)
-    assert all(p.degenerate for p in pairs)
+    # a zero matrix passes the first convergence check before any rotation
+    for n in (1, 3, 4):
+        pairs = full_eigen_jacobi(np.zeros((n, n)))
+        assert all(p.value == 0.0 for p in pairs)
+        vecs = np.column_stack([p.vector for p in pairs])
+        assert np.array_equal(vecs, np.eye(n))
 
 
 def test_jacobi_size_cap():
@@ -176,8 +180,7 @@ def test_jacobi_size_cap():
 
 def _same_pairs(got, want):
     return len(got) == len(want) and all(
-        g.value == w.value and g.degenerate == w.degenerate
-        and np.array_equal(g.vector, w.vector)
+        g.value == w.value and np.array_equal(g.vector, w.vector)
         for g, w in zip(got, want)
     )
 
@@ -195,7 +198,6 @@ def test_jacobi_stack_matches_single_solves_bit_for_bit(n):
     assert len(got) == len(mats)
     for pairs, c in zip(got, mats):
         assert _same_pairs(pairs, full_eigen_jacobi(c))
-    assert all(p.degenerate for p in got[4])
 
 
 def test_jacobi_stack_in_chunks_matches_single_solves(monkeypatch):
@@ -292,9 +294,48 @@ def test_eig_config_validation():
 
 def test_top_eigen_exact_route():
     c = random_psd(10, seed=77)
-    p_exact = top_eigen(c, EigConfig(method="exact"))
-    p_power = top_eigen(c, EigConfig(method="power"))
+    [p_exact] = top_eigen([c], EigConfig(method="exact"))
+    [p_power] = top_eigen([c], EigConfig(method="power"))
     assert abs(p_exact.value - p_power.value) <= 1e-8 * max(p_exact.value, 1.0)
+
+
+def _covs(n):
+    # a mode's worth of covariances, with a zero one among them
+    mats = [random_psd(n, seed=200 + i) for i in range(4)]
+    return mats[:2] + [np.zeros((n, n))] + mats[2:]
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
+    # each matrix is solved before the next is pulled, so one is alive at once
+    mats = _covs(n)
+    pulled, seen = [], []
+    solve = spectral.top_eigenpair
+
+    def one_shot():
+        for c in mats:
+            pulled.append(c)
+            yield c
+
+    def traced(c):
+        seen.append(len(pulled))
+        return solve(c)
+
+    monkeypatch.setattr(spectral, "top_eigenpair", traced)
+    got = top_eigen(one_shot(), EigConfig(method="power"))
+    assert seen == list(range(1, len(mats) + 1))
+    assert _same_pairs(got, [solve(c) for c in mats])
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_top_eigen_exact_route_takes_a_generator(n):
+    # the top Jacobi pair, its eigenvalue clamped at 0 (-I has top value -1)
+    mats = _covs(n) + [-np.eye(n)]
+    got = top_eigen((c for c in mats), EigConfig(method="exact"))
+    want = [full_eigen_jacobi(c)[0] for c in mats]
+    assert _same_pairs(got, [spectral.EigenPair(max(p.value, 0.0), p.vector)
+                             for p in want])
+    assert got[-1].value == 0.0
 
 
 @settings(max_examples=40, deadline=None)
