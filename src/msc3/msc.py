@@ -167,16 +167,19 @@ def msc_mode(t, mode, epsilon, config=None):
     The similarity matrix is retained on the result for the density-split
     stage. A singleton seed (a lone outlying slice) is reported as an empty,
     non-converged result rather than a cluster. Raises ValueError on an
-    epsilon that is not finite and positive.
+    epsilon that is not finite and positive, or so large that the spread
+    bound at the full size m overflows.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    m = t.dims[mode - 1]
+    if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
+        raise ValueError(f"epsilon {epsilon} overflows the spread bound")
     spectra = slice_spectra(t, mode, config)
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
     baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2
     ratio = spectra.lambda_max / baseline if baseline > 0 else float("inf")
-    m = t.dims[mode - 1]
     seed = initial_cluster_by_gap(sim.d)
     if len(seed) < 2:
         return MscResult(

@@ -1,22 +1,28 @@
 """Slice covariance matrices and eigen solvers.
 
-Two independent routes to the top eigenpair are kept on purpose: a dense
-LAPACK solve (the default path, named 'power' for compatibility) and a
-Jacobi full-spectrum solver (the exact path, also the independent eigen
-oracle in the tests). They share no code beyond numpy primitives.
+Two independent routes to the top eigenpair are kept on purpose: LAPACK
+(the default path, named 'power' for compatibility) and a Jacobi
+full-spectrum solver (the exact path, also the independent eigen oracle in
+the tests). They share no code beyond numpy primitives.
+
+The LAPACK route solves a stack of matrices with one batched eigvalsh call
+for the top eigenvalues and two batched steps of shifted inverse iteration
+for their vectors (Golub and Van Loan, Matrix Computations, 8.2.2). A
+matrix that this does not solve to the residual test goes to a full eigh
+of that matrix alone.
 
 The Jacobi solver uses the round-robin ("circle") parallel ordering of
 Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
-top_eigen alone decides how a mode's covariances meet a solver: the power
-route takes them one at a time, the exact route stacks them for one
-Jacobi call.
+top_eigen alone decides how a mode's covariances meet a solver: both
+routes take them in stacks of about 1 MiB, one solver call a stack.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,8 @@ JACOBI_MAX_N = 512
 # working-array budget of one stacked Jacobi solve; a stack is solved in
 # chunks of matrices whose working arrays (about 80 n^2 bytes each) fit it
 _JACOBI_CHUNK_BYTES = 32 << 20
+# covariances that top_eigen pulls and solves at once
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,16 +95,69 @@ def _fix_sign(v):
 
 
 def top_eigenpair(c, tol=1e-10):
-    """Dominant eigenpair of a symmetric PSD matrix by a dense LAPACK solve.
+    """Dominant eigenpair of a symmetric PSD matrix, or of each of a stack.
 
-    Takes the largest pair from numpy.linalg.eigh and checks it against the
-    residual contract ||C v - lambda v|| <= tol * max(lambda, 1), raising
-    ConvergenceError (with the residual) if the solve misses it. The
-    returned vector has its largest-magnitude entry nonnegative.
+    A 2-d matrix returns one EigenPair; a (k, n, n) stack returns a list of
+    k, each bit for bit what its matrix gets alone. lambda comes from one
+    batched eigvalsh call and v from two steps of inverse iteration on
+    C - (lambda + delta) I, delta = 8 n eps |lambda| (Golub and Van Loan,
+    Matrix Computations, 8.2.2), from a fixed start vector. The pair is
+    kept when ||C v - lambda v|| <= tol * |lambda|. Any other matrix
+    (lambda = 0, a singular shifted solve, a missed residual) is solved
+    alone by numpy.linalg.eigh, whose largest pair must meet
+    ||C v - lambda v|| <= tol * max(lambda, 1), or ConvergenceError (with
+    the residual) is raised. Each eigenvalue is clamped at 0 and each
+    vector has its largest-magnitude entry nonnegative.
     """
-    c = _check_symmetric(c)
+    stacked = np.ndim(c) == 3
+    a = _check_symmetric(c, stacked=stacked)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    pairs = _top_pairs(a if stacked else a[np.newaxis], tol)
+    return pairs if stacked else pairs[0]
+
+
+def _top_pairs(a, tol):
+    # inverse iteration where it meets the residual test, _eigh_top for the
+    # rest; rows of v stay NaN for the matrices it does not solve
+    k, n, _ = a.shape
+    lam = np.linalg.eigvalsh(a)[:, -1]
+    v = np.full((k, n), np.nan)
+    live = lam != 0
+    with np.errstate(all="ignore"):
+        try:
+            v[live] = _inverse_iteration(a[live], lam[live])
+        except np.linalg.LinAlgError:
+            # one singular shifted matrix fails the whole batched solve;
+            # alone, the others get the same bits and it goes to eigh
+            if k > 1:
+                return [p for c in a for p in _top_pairs(c[np.newaxis], tol)]
+        res = np.linalg.norm((a @ v[..., np.newaxis])[..., 0]
+                             - lam[:, np.newaxis] * v, axis=1)
+    ok = res <= tol * np.abs(lam)
+    return [EigenPair(max(float(lam[i]), 0.0), _fix_sign(v[i])) if ok[i]
+            else _eigh_top(a[i], tol) for i in range(k)]
+
+
+def _inverse_iteration(b, lam):
+    # two steps on each b - (lam + delta) I, shifting b in place; the top
+    # eigenvector's share of the start vector grows by about gap / delta a step
+    k, n, _ = b.shape
+    d = np.arange(n)
+    shift = lam + 8 * n * np.finfo(float).eps * np.abs(lam)
+    b[:, d, d] -= shift[:, np.newaxis]
+    # a golden-ratio sequence: no structure a covariance is likely to share
+    x = 0.5 + np.arange(1, n + 1) * 0.6180339887498949 % 1.0
+    x = np.broadcast_to(x[:, np.newaxis], (k, n, 1))
+    for _ in range(2):
+        x = np.linalg.solve(b, x)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x[..., 0]
+
+
+def _eigh_top(c, tol):
+    # the largest pair of one matrix by a full LAPACK solve; the fallback
+    # of top_eigenpair and the one place that checks max(lambda, 1)
     vals, vecs = np.linalg.eigh(c)
     lam = float(vals[-1])
     v = vecs[:, -1].copy()
@@ -269,13 +330,23 @@ def _offdiag_norms(a):
 def top_eigen(covs, config=None):
     """Top eigenpair of each matrix in covs via the configured method.
 
-    This is the one place that decides how a mode's covariances are solved:
-    'power' pulls them from the iterable one at a time through
-    top_eigenpair, so only one is alive at once; 'exact' stacks them for
-    one Jacobi call and clamps each top eigenvalue at 0. Returns a list
-    with one EigenPair per matrix.
+    This is the one place that decides how a mode's covariances are solved.
+    Both routes pull them from the iterable in chunks of about
+    _CHUNK_BYTES of matrices and solve each chunk with one call, so at most
+    one chunk is alive at once: 'power' through top_eigenpair, 'exact'
+    through full_eigen_jacobi, with each top eigenvalue clamped at 0.
+    Returns a list with one EigenPair per matrix.
     """
-    if (config or EigConfig()).method == "power":
-        return [top_eigenpair(c) for c in covs]
-    return [EigenPair(max(spectrum[0].value, 0.0), spectrum[0].vector)
-            for spectrum in full_eigen_jacobi(np.stack(list(covs)))]
+    exact = (config or EigConfig()).method == "exact"
+    out = []
+    it = iter(covs)
+    for first in it:
+        first = np.asarray(first, dtype=np.float64)
+        more = max(_CHUNK_BYTES // max(first.nbytes, 1) - 1, 0)
+        chunk = np.stack([first, *itertools.islice(it, more)])
+        if exact:
+            out += [EigenPair(max(spectrum[0].value, 0.0), spectrum[0].vector)
+                    for spectrum in full_eigen_jacobi(chunk)]
+        else:
+            out += top_eigenpair(chunk)
+    return out

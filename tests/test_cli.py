@@ -301,6 +301,23 @@ def test_cluster_nonfinite_epsilon_exits_2(tmp_path, capsys, method, value):
     assert "epsilon" in captured.err
 
 
+@pytest.mark.parametrize("method", ["msc", "msc-dbscan", "msc-iterated"])
+def test_cluster_huge_epsilon_exits_2_before_the_run(tmp_path, capsys,
+                                                     method):
+    # 12 * 1e308 / 2 overflows the spread bound; 1e300 still fits
+    main(_synth_args(tmp_path, noise="0.5"))
+    capsys.readouterr()
+    path = str(tmp_path / "t.t3b")
+    rc = main(["cluster", path, "--method", method, "--epsilon", "1e308"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
+    rc = main(["cluster", path, "--method", method, "--epsilon", "1e300"])
+    assert rc == 0
+    json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_sweep_nonfinite_epsilon_exits_2(tmp_path, capsys, value):
     out = tmp_path / "s.csv"

@@ -265,6 +265,13 @@ def test_non_finite_epsilon_raises(run, epsilon):
         run(t, epsilon)
 
 
+@pytest.mark.parametrize("run", [run_msc, run_msc_dbscan, run_msc_iterated])
+def test_epsilon_that_overflows_the_bound_raises(run):
+    t, _ = generate(_block_spec([30.0]))
+    with pytest.raises(ValueError, match="epsilon"):
+        run(t, 1e308)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0])
 @pytest.mark.parametrize("run", [run_msc, run_msc_dbscan, run_msc_iterated])
 def test_non_positive_epsilon_raises_on_gapless_tensor(run, epsilon):

@@ -107,10 +107,11 @@ def test_top_eigenpair_deterministic():
 def test_top_eigenpair_nonconvergence_reports_residual():
     # a residual tolerance far below float64 rounding is unreachable
     c = random_psd(20, seed=5)
-    with pytest.raises(ConvergenceError) as exc:
-        top_eigenpair(c, tol=1e-300)
-    assert exc.value.residual is not None
-    assert exc.value.residual > 1e-300 * eigh_top(c)
+    for arg in (c, np.stack([c, random_psd(20, seed=6)])):
+        with pytest.raises(ConvergenceError) as exc:
+            top_eigenpair(arg, tol=1e-300)
+        assert exc.value.residual is not None
+        assert exc.value.residual > 1e-300 * eigh_top(c)
 
 
 def test_top_eigenpair_ones_in_nullspace():
@@ -307,24 +308,85 @@ def _covs(n):
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
-    # each matrix is solved before the next is pulled, so one is alive at once
+    # on both routes each chunk is solved before the next one is pulled, so
+    # at most one chunk is alive at once; the budget here holds 2 matrices
     mats = _covs(n)
-    pulled, seen = [], []
-    solve = spectral.top_eigenpair
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * n * n)
+    for method, name in (("power", "top_eigenpair"),
+                         ("exact", "full_eigen_jacobi")):
+        pulled, seen = [], []
+        solve = getattr(spectral, name)
 
-    def one_shot():
-        for c in mats:
-            pulled.append(c)
-            yield c
+        def one_shot():
+            for c in mats:
+                pulled.append(c)
+                yield c
 
-    def traced(c):
-        seen.append(len(pulled))
-        return solve(c)
+        def traced(chunk):
+            seen.append((len(pulled), len(chunk)))
+            return solve(chunk)
 
-    monkeypatch.setattr(spectral, "top_eigenpair", traced)
-    got = top_eigen(one_shot(), EigConfig(method="power"))
-    assert seen == list(range(1, len(mats) + 1))
-    assert _same_pairs(got, [solve(c) for c in mats])
+        monkeypatch.setattr(spectral, name, traced)
+        got = top_eigen(one_shot(), EigConfig(method=method))
+        assert seen == [(2, 2), (4, 2), (5, 1)]
+        want = [solve(c) for c in mats]
+        if method == "exact":
+            want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
+                    for s in want]
+        assert _same_pairs(got, want)
+
+
+def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
+    # only the matrices inverse iteration cannot take go to eigh, each on
+    # its own: the zero matrix (lambda = 0) and a diagonal one whose top
+    # entry is the smallest subnormal, where the shift's delta underflows
+    # to 0 and the shifted solve is exactly singular
+    n = 5
+    mats = [random_psd(n, seed=300), np.zeros((n, n)),
+            np.diag([0.0, 5e-324, 0.0, 0.0, 0.0]), np.eye(n),
+            random_psd(n, seed=301), -np.eye(n), 1e6 * random_psd(n, seed=302)]
+    eigh_top = spectral._eigh_top
+    fell = []
+
+    def counted(c, tol):
+        fell.append(next(i for i, m in enumerate(mats)
+                         if np.array_equal(m, c)))
+        return eigh_top(c, tol)
+
+    monkeypatch.setattr(spectral, "_eigh_top", counted)
+    got = top_eigenpair(np.stack(mats))
+    assert sorted(set(fell)) == [1, 2]
+    for i, (pair, c) in enumerate(zip(got, mats)):
+        want = eigh_top(c, 1e-10)
+        if i in fell:
+            assert _same_pairs([pair], [want])
+            continue
+        assert pair.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-14)
+        lam = np.linalg.eigvalsh(c)[-1]
+        assert np.linalg.norm(c @ pair.vector - lam * pair.vector) <= (
+            1e-10 * abs(lam))
+        if i not in (3, 5):  # every unit vector is a top eigenvector of +-I
+            assert pair.vector == pytest.approx(want.vector, abs=1e-12)
+
+
+def test_top_eigenpair_one_by_one_matrices():
+    # the shifted solve of a 1 x 1 matrix is a division; 0 goes to eigh
+    mats = np.array([[[4.0]], [[0.0]], [[2.5e-7]], [[-3.0]]])
+    got = top_eigenpair(mats)
+    assert [p.value for p in got] == [4.0, 0.0, 2.5e-7, 0.0]
+    assert all(np.array_equal(p.vector, [1.0]) for p in got)
+
+
+def test_top_eigenpair_stack_in_chunks_matches_single_solves(monkeypatch):
+    # top_eigen solves a mode chunk by chunk; every matrix gets the bits it
+    # gets alone, whichever chunk and position it lands in
+    mats = [random_psd(6, seed=s) for s in range(7)]
+    mats.insert(3, np.zeros((6, 6)))
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
+    solo = [top_eigenpair(c) for c in mats]
+    assert _same_pairs(top_eigen(iter(mats)), solo)
+    assert _same_pairs(top_eigenpair(np.stack(mats)), solo)
 
 
 @pytest.mark.parametrize("n", [1, 6])
