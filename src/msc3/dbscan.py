@@ -5,6 +5,12 @@ its every tie-break is pinned down: neighborhoods are closed balls
 (distance <= radius, the point itself counted), seed points are scanned in
 index order, clusters expand through a FIFO queue, and cluster ids are
 assigned in discovery order.
+
+Neighborhoods come from one Gram product per block of points, and any
+pair that product cannot decide within its rounding bound is decided by
+the row expression sqrt(sum((x_j - x_i)**2)) <= radius. So each
+neighborhood, and with it every label, is exactly what the row
+expression gives, on any BLAS build and at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from .msc import marginal_spread_bound
 
 NOISE = -1
 UNVISITED = -2
+
+
+# float64 bytes a neighborhood row block keeps alive: its Gram product and
+# its tolerance, about 24 bytes per pair with the masks
+_BLOCK_BYTES = 1 << 20
 
 
 def dbscan(points, radius, minpts):
@@ -41,12 +52,7 @@ def dbscan(points, radius, minpts):
     if minpts < 1:
         raise ValueError("minpts must be at least 1")
     n = pts.shape[0]
-    # one row of distances at a time keeps memory at O(n * dim)
-    neighbors = []
-    for p in pts:
-        diff = pts - p
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        neighbors.append(np.flatnonzero(dist <= radius))
+    neighbors = _neighborhoods(pts, radius)
     core = np.array([len(nb) >= minpts for nb in neighbors])
 
     labels = np.full(n, UNVISITED, dtype=int)
@@ -58,7 +64,8 @@ def dbscan(points, radius, minpts):
             labels[i] = NOISE
             continue
         labels[i] = cid
-        queue = deque(int(j) for j in neighbors[i] if j != i)
+        nb = neighbors[i]
+        queue = deque(nb[nb != i].tolist())
         while queue:
             j = queue.popleft()
             if labels[j] == NOISE:
@@ -67,14 +74,67 @@ def dbscan(points, radius, minpts):
                 continue
             labels[j] = cid
             if core[j]:
-                # noise-labeled neighbors stay eligible: they may still be
-                # claimed as border points of this cluster
-                queue.extend(
-                    int(k) for k in neighbors[j]
-                    if labels[k] == UNVISITED or labels[k] == NOISE
-                )
+                # labels < 0 is UNVISITED or NOISE: noise-labeled neighbors
+                # stay eligible, they may still be claimed as border points
+                nb = neighbors[j]
+                queue.extend(nb[labels[nb] < 0].tolist())
         cid += 1
     return labels
+
+
+def _neighborhoods(pts, radius):
+    """Closed-ball neighbor indices of each point, ascending.
+
+    j is a neighbor of i exactly when the row expression
+    sqrt(sum((x_j - x_i)**2)) <= radius holds in floating point. The Gram
+    value s = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, one matmul per block of rows,
+    decides a pair only when |s - r^2| > tau; every other pair, including
+    any with a non-finite s or tau, is decided by the row expression.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1): with unit roundoff u, a = |x_i|, b = |x_j| and D the exact squared
+    distance, a length-m dot product in any summation order is off by at
+    most gamma_m a b, gamma_k = k u / (1 - k u). So the Gram value, with its
+    add and subtract, has |s - D| <= gamma_{m+2} (a + b)^2. The row
+    expression rounds each difference, each square and the sum, so it is
+    within gamma_{m+2} D <= gamma_{m+2} (a + b)^2 of D. Rounding r^2 and the
+    correctly rounded sqrt move the row test's threshold by at most 4 u r^2.
+    If |s - r^2| exceeds the sum, 2 gamma_{m+2} (a + b)^2 + 4 u r^2, about
+    (m + 2) eps (a + b)^2 + 2 eps r^2, both tests agree. tau takes four
+    times that, 4 (m + 8) eps ((a + b)^2 + r^2), which also covers the
+    rounding of a, b, tau and s - r^2. Gradual underflow adds an absolute
+    error of at most 2^-1075 per product, (5 m + 1) 2^-1075 over both
+    expressions, and tau adds (m + 8) times the smallest normal number.
+    """
+    n, m = pts.shape
+    fp = np.finfo(np.float64)
+    r2 = radius * radius
+    sq = np.einsum("ij,ij->i", pts, pts)
+    norm = np.sqrt(sq)
+    rows = max(1, _BLOCK_BYTES // (24 * n))
+    neighbors = []
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            s = pts[lo:hi] @ pts.T
+            s *= -2.0
+            s += sq[lo:hi, None]
+            s += sq
+            s -= r2
+            near = s < 0
+            tau = norm[lo:hi, None] + norm
+            tau *= tau
+            tau += r2
+            tau *= 4 * (m + 8) * fp.eps
+            tau += (m + 8) * fp.tiny
+            decided = np.abs(s, out=s) > tau
+            near &= decided
+            for k in np.flatnonzero(~decided.all(axis=1)):
+                amb = np.flatnonzero(~decided[k])
+                diff = pts[amb] - pts[lo + k]
+                near[k, amb] = np.sqrt((diff * diff).sum(axis=1)) <= radius
+            neighbors += [np.flatnonzero(row) for row in near]
+    return neighbors
 
 
 def derived_radius(l, epsilon, m):

@@ -78,10 +78,11 @@ def _check_symmetric(c, stacked=False):
         raise ValueError(f"expected a {kind}, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValidationError("matrix contains NaN or Inf entries")
-    if c.shape[-1] > 1 and c.size and (
-        np.abs(c - np.swapaxes(c, -1, -2)).max() > 1e-9
-    ):
-        raise ValidationError("matrix is not symmetric within 1e-9")
+    if c.shape[-1] > 1 and c.size:
+        # one temporary: the difference, made absolute in place
+        d = c - np.swapaxes(c, -1, -2)
+        if np.abs(d, out=d).max() > 1e-9:
+            raise ValidationError("matrix is not symmetric within 1e-9")
     return c
 
 

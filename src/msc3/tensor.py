@@ -152,13 +152,20 @@ def _load_t3b(path):
 
 
 def _load_csv(path):
-    with open(path, "r") as fh:
+    try:
+        return _parse_csv(path)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e.reason}") from None
+
+
+def _parse_csv(path):
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.strip().split(",")
         if len(parts) != 3:
             raise FormatError(f"bad csv header in {path}: {header.strip()!r}", offset=0)
         try:
-            m1, m2, m3 = (int(p) for p in parts)
+            m1, m2, m3 = (int(_plain(p)) for p in parts)
         except ValueError:
             raise FormatError(
                 f"non-integer dims in csv header of {path}: {header.strip()!r}",
@@ -173,7 +180,7 @@ def _load_csv(path):
             if not line:
                 continue
             try:
-                values.append(float(line))
+                values.append(float(_plain(line)))
             except ValueError:
                 raise FormatError(
                     f"bad value on line {lineno} of {path}: {line!r}"
@@ -186,3 +193,11 @@ def _load_csv(path):
     if not np.isfinite(data).all():
         raise ValidationError(f"non-finite entry in {path}")
     return Tensor3(data.reshape(m1, m2, m3))
+
+
+def _plain(text):
+    # int() and float() also take digit-group underscores and non-ASCII
+    # digits, which no csv that save_tensor writes holds
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return text

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written by a different route than the
 production code: ARI by brute-force pair counting instead of a contingency
-table, density clustering by reachability closure instead of queue expansion.
+table, density clustering by reachability closure instead of queue expansion,
+DBSCAN neighborhoods one point at a time by the row expression
+sqrt(sum((x_j - x_i)**2)) <= radius instead of a Gram product
+(row_dbscan: the rule whose every floating-point decision dbscan must
+reproduce, with dbscan's tie rules).
 Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
 eigenpair route does, so the independent eigen oracle is the Jacobi solver
 (spectral.full_eigen_jacobi, round-robin ordering, numpy only), which
@@ -10,6 +14,7 @@ shares no code with LAPACK.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -89,6 +94,56 @@ def closure_dbscan(points, radius, minpts):
             if not core[u] and labels[u] == -1:
                 if any(dist(u, v) <= radius for v in comp):
                     labels[u] = cid
+        cid += 1
+    return labels
+
+
+def row_neighborhoods(points, radius):
+    """Closed-ball neighbor indices of each point by the row expression.
+
+    One (n, dim) difference array per point, squared and summed along the
+    row in numpy, then sqrt(...) <= radius: the floating-point rule that
+    defines a neighborhood exactly, ties and rounding included.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    out = []
+    for p in pts:
+        diff = pts - p
+        # a square that overflows to inf is part of the rule: never a neighbor
+        with np.errstate(over="ignore"):
+            dist = np.sqrt((diff * diff).sum(axis=1))
+        out.append(np.flatnonzero(dist <= radius))
+    return out
+
+
+def row_dbscan(points, radius, minpts):
+    """Density clustering over row_neighborhoods, any minpts.
+
+    Seeds are scanned in index order and clusters grow through a FIFO
+    queue one neighbor at a time, with the tie rules of msc3.dbscan:
+    a noise-labeled point reached from a core becomes a border point.
+    """
+    neighbors = row_neighborhoods(points, radius)
+    core = [len(nb) >= minpts for nb in neighbors]
+    labels = [-2] * len(neighbors)
+    cid = 0
+    for i in range(len(neighbors)):
+        if labels[i] != -2:
+            continue
+        if not core[i]:
+            labels[i] = -1
+            continue
+        labels[i] = cid
+        queue = deque(int(j) for j in neighbors[i] if j != i)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == -1:
+                labels[j] = cid
+            if labels[j] != -2:
+                continue
+            labels[j] = cid
+            if core[j]:
+                queue.extend(int(k) for k in neighbors[j] if labels[k] in (-1, -2))
         cid += 1
     return labels
 

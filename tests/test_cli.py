@@ -91,6 +91,18 @@ def test_cluster_corrupt_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [b"2,2,2\n\xff\n", b"1,1,1\n1_0\n"],
+                         ids=["not_utf8", "underscore"])
+def test_cluster_bad_csv_bytes_exit_1(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    rc = main(["cluster", str(bad), "--format", "csv"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cluster_msc_stdout_json(tmp_path, capsys):
     main(_synth_args(tmp_path))
     capsys.readouterr()

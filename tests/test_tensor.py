@@ -205,6 +205,32 @@ def test_csv_nan_rejected(tmp_path):
         load_tensor(path, fmt="csv")
 
 
+@pytest.mark.parametrize("raw", [
+    b"1,1,2\n0.5\n\xff\xfe\n",  # bytes that are not UTF-8 in a value
+    b"1,1,\xc3\n0\n",  # a truncated UTF-8 sequence in the header
+    b"\x80" * 40,
+], ids=["value", "header", "garbage"])
+def test_csv_non_utf8_bytes_are_a_format_error(tmp_path, raw):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_tensor(path, fmt="csv")
+
+
+@pytest.mark.parametrize("text", [
+    "1,1,2\n1_0\n0\n",  # float() reads 1_0 as 10.0
+    "1,1,2\n0\n2.5_0e1\n",
+    "1,1,1_0\n" + "0\n" * 10,  # int() reads 1_0 as 10
+    "1,1,2\n\uff11\n0\n",  # a fullwidth digit one
+    "1,1,\u0662\n0\n0\n",  # an Arabic-Indic digit two
+], ids=["value", "exponent", "header", "fullwidth", "arabic_indic"])
+def test_csv_number_forms_csv_files_never_hold_are_rejected(tmp_path, text):
+    path = tmp_path / "forms.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_tensor(path, fmt="csv")
+
+
 def test_unknown_format_rejected(tmp_path):
     t = Tensor3(np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
