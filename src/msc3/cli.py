@@ -34,7 +34,7 @@ from .pipeline import (
 )
 from .spectral import EigConfig
 from .synth import Component, SynthSpec, benchmark_spec, generate, truth_from_json, truth_to_json
-from .tensor import load_tensor, save_tensor
+from .tensor import integer, load_tensor, number, save_tensor
 
 RESULT_HEADER = "gamma,seed,method,mode,ari,rmse,wall_ms,status"
 AGGREGATE_HEADER = "gamma,method,ari_mean,ari_std,rmse_mean"
@@ -46,14 +46,14 @@ def _parse_dims(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--dims wants m1,m2,m3, got {text!r}")
-    dims = tuple(int(p) for p in parts)
+    dims = tuple(integer(p) for p in parts)
     if min(dims) < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     return dims
 
 
 def _parse_gammas(text, rank):
-    vals = [float(p) for p in text.split(",")]
+    vals = [number(p) for p in text.split(",")]
     if len(vals) == 1 and rank > 1:
         vals = vals * rank
     if len(vals) != rank:
@@ -69,7 +69,7 @@ def _parse_gamma_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--gamma wants start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (number(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"--gamma range must be finite, got {text!r}")
     if step <= 0:
@@ -278,12 +278,12 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a planted-cluster tensor")
     p.add_argument("--dims", required=True, help="m1,m2,m3")
-    p.add_argument("--rank", type=int, default=1, help="number of planted components")
+    p.add_argument("--rank", type=integer, default=1, help="number of planted components")
     p.add_argument("--gamma", required=True,
                    help="signal strength, one value or comma list per component")
-    p.add_argument("--cluster-size", type=int, default=10)
-    p.add_argument("--noise", type=float, default=1.0, help="noise scale (0 = none)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cluster-size", type=integer, default=10)
+    p.add_argument("--noise", type=number, default=1.0, help="noise scale (0 = none)")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--format", choices=("t3b", "csv"), default="t3b")
     p.add_argument("-o", "--out", required=True, help="tensor output path")
     p.add_argument("--truth", help="ground-truth JSON output path")
@@ -292,7 +292,7 @@ def build_parser():
     p = sub.add_parser("cluster", help="cluster a tensor file")
     p.add_argument("input", help="tensor path")
     p.add_argument("--method", choices=METHODS, default=MSC_DBSCAN)
-    p.add_argument("--epsilon", type=float, default=0.001)
+    p.add_argument("--epsilon", type=number, default=0.001)
     p.add_argument("--eig", choices=("power", "exact"), default="power")
     p.add_argument("--format", choices=("t3b", "csv"), default="t3b")
     p.add_argument("-o", "--out", help="clusters JSON path (default: stdout)")
@@ -308,14 +308,14 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="signal-strength sweep emitting CSV")
     p.add_argument("--gamma", required=True, help="start:stop:step")
-    p.add_argument("--runs", type=int, default=10, help="seeds per gamma")
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--runs", type=integer, default=10, help="seeds per gamma")
+    p.add_argument("--epsilon", type=number, default=0.001)
+    p.add_argument("--seed", type=integer, default=0, help="base seed")
     p.add_argument("--eig", choices=("power", "exact"), default="power")
     p.add_argument("--dims", default="50,50,50")
-    p.add_argument("--cluster-size", type=int, default=10)
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--cluster-size", type=integer, default=10)
+    p.add_argument("--rank", type=integer, default=2)
+    p.add_argument("--jobs", type=integer, default=1,
                    help="parallel workers over (gamma, seed) cells")
     p.add_argument("-o", "--out", required=True, help="results CSV path")
     p.add_argument("--aggregate", help="aggregate CSV path (default: <out>_agg)")

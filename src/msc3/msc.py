@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NoGapError
-from .spectral import covariance, top_eigen
+from .spectral import covariance, mirror_upper, top_eigen
 
 EQUAL_TOL = 1e-12
 
@@ -88,7 +88,8 @@ def slice_spectra(t, mode, config=None):
     m = t.dims[mode - 1]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), config)
+    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), config,
+                      mode=mode)
     lams = np.array([pair.value for pair in pairs])
     vecs = [pair.vector for pair in pairs]
     lam_max = float(lams.max())
@@ -103,9 +104,7 @@ def slice_spectra(t, mode, config=None):
 
 def similarity_matrix(spectra):
     """C = |V^T V| (exactly symmetric) and its row sums d."""
-    g = spectra.v_matrix.T @ spectra.v_matrix
-    upper = np.triu(g)
-    c = np.abs(upper + np.triu(g, 1).T)
+    c = np.abs(mirror_upper(spectra.v_matrix.T @ spectra.v_matrix))
     d = c.sum(axis=1)
     return SimilarityMatrix(c=c, d=d)
 

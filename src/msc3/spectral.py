@@ -22,6 +22,7 @@ routes take them in stacks of about 1 MiB, one solver call a stack.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -60,14 +61,32 @@ def covariance(m):
     """Gram matrix M^T M of a rows x cols matrix, exactly symmetric.
 
     Each unordered entry pair is computed once and mirrored, so the result
-    is symmetric to the bit.
+    is symmetric to the bit. Entries that overflow come back as inf without
+    a warning; top_eigen rejects them by their trace.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or min(m.shape) < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
-    c = m.T @ m
-    upper = np.triu(c)
-    return upper + np.triu(c, 1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mirror_upper(m.T @ m)
+
+
+def mirror_upper(c):
+    """Copy the upper triangle of the square matrix c onto its lower one.
+
+    In place; returns c. A -0.0 becomes 0.0, as in triu(c) + triu(c, 1).T.
+    """
+    np.copyto(c, c.T, where=_strict_lower(c.shape[0]))
+    c += 0.0
+    return c
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_lower(n):
+    # read-only, since every caller shares it
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _check_symmetric(c, stacked=False):
@@ -328,7 +347,7 @@ def _offdiag_norms(a):
     return np.sqrt(sq.reshape(len(sq), -1).sum(axis=1))
 
 
-def top_eigen(covs, config=None):
+def top_eigen(covs, config=None, mode=None):
     """Top eigenpair of each matrix in covs via the configured method.
 
     This is the one place that decides how a mode's covariances are solved.
@@ -336,6 +355,10 @@ def top_eigen(covs, config=None):
     _CHUNK_BYTES of matrices and solve each chunk with one call, so at most
     one chunk is alive at once: 'power' through top_eigenpair, 'exact'
     through full_eigen_jacobi, with each top eigenvalue clamped at 0.
+    Before either solves a chunk, a covariance whose trace t fails
+    4 t^2 < inf raises ValidationError naming the slice (and mode, if
+    given): for a PSD matrix t bounds ||C||_F, lambda and ||C v||, so below
+    that limit no squared norm either solver forms can overflow.
     Returns a list with one EigenPair per matrix.
     """
     exact = (config or EigConfig()).method == "exact"
@@ -345,9 +368,27 @@ def top_eigen(covs, config=None):
         first = np.asarray(first, dtype=np.float64)
         more = max(_CHUNK_BYTES // max(first.nbytes, 1) - 1, 0)
         chunk = np.stack([first, *itertools.islice(it, more)])
+        _check_scale(chunk, len(out), mode)
         if exact:
             out += [EigenPair(max(spectrum[0].value, 0.0), spectrum[0].vector)
                     for spectrum in full_eigen_jacobi(chunk)]
         else:
             out += top_eigenpair(chunk)
     return out
+
+
+def _check_scale(chunk, start, mode):
+    # chunk holds the covariances of slices start, start + 1, ...; a chunk
+    # of another shape is left to the solvers' own checks
+    if chunk.ndim != 3:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.trace(chunk, axis1=1, axis2=2)
+        bad = ~(4.0 * t * t < np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"mode-{mode} slice" if mode else "matrix"
+        raise ValidationError(
+            f"{where} {start + i} is too large to solve: its covariance "
+            f"trace (the slice's squared norm) is {t[i]:.3e}, and 4 t^2 "
+            f"must be finite (t below about 6.7e153)")

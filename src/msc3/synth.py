@@ -28,6 +28,9 @@ import numpy as np
 from .errors import ValidationError, load_json
 from .tensor import Tensor3, check_index_set
 
+# Box-Muller pairs transformed at once: each temporary is 8 bytes a pair
+_BOXMULLER_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Component:
@@ -70,17 +73,25 @@ def boxmuller_normals(rng, n):
     """n standard normals from a numpy Generator's uniform stream.
 
     See the module docstring for the exact pairing and interleaving rules.
+    The uniforms are drawn into one buffer and transformed in place,
+    _BOXMULLER_BLOCK pairs at a time, so the only other memory is one block.
     """
-    if n == 0:
-        return np.empty(0)
     pairs = (n + 1) // 2
-    u = rng.random(2 * pairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    out = rng.random(2 * pairs)
+    uv = out.reshape(pairs, 2)
+    for lo in range(0, pairs, _BOXMULLER_BLOCK):
+        u1 = uv[lo:lo + _BOXMULLER_BLOCK, 0]
+        u2 = uv[lo:lo + _BOXMULLER_BLOCK, 1]
+        r = np.negative(u1)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        a = 2.0 * np.pi * u2
+        u1[...] = np.cos(a)
+        u1 *= r
+        np.sin(a, out=a)
+        a *= r
+        u2[...] = a
     return out[:n]
 
 
@@ -111,19 +122,22 @@ def generate(spec):
                 f"mode-{axis + 1} component member sets overlap"
             )
 
-    signal = np.zeros(spec.dims)
-    for comp, ms in zip(spec.components, zip(*members)):
-        w = unit_cluster_vector(ms[0], m1)
-        u = unit_cluster_vector(ms[1], m2)
-        v = unit_cluster_vector(ms[2], m3)
-        signal += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
-
+    # each component adds gamma * w x u x v on its member block only; the
+    # blocks are disjoint, so every entry gets at most one term, as in
+    # signal + noise_scale * z with a zero signal off the blocks
     if spec.noise_scale > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        z = boxmuller_normals(rng, m1 * m2 * m3).reshape(spec.dims)
-        data = signal + spec.noise_scale * z
+        data = boxmuller_normals(rng, m1 * m2 * m3).reshape(spec.dims)
+        data *= spec.noise_scale
+        # 0.0 + (-0.0) is 0.0: the sign of zero the sum gives
+        data += 0.0
     else:
-        data = signal
+        data = np.zeros(spec.dims)
+    for comp, ms in zip(spec.components, zip(*members)):
+        w, u, v = (unit_cluster_vector(j, m)[list(j)]
+                   for j, m in zip(ms, spec.dims))
+        block = np.ix_(*ms)
+        data[block] += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
 
     labels = []
     for axis, m in enumerate(spec.dims):

@@ -104,11 +104,12 @@ def save_tensor(t, path, fmt="t3b"):
     """
     m1, m2, m3 = t.dims
     if fmt == "t3b":
-        payload = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+        payload = np.ascontiguousarray(t.data, dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(T3B_MAGIC)
             fh.write(struct.pack("<III", m1, m2, m3))
-            fh.write(payload)
+            # the array's own buffer, not a bytes copy of it
+            fh.write(memoryview(payload).cast("B"))
     elif fmt == "csv":
         with open(path, "w") as fh:
             fh.write(f"{m1},{m2},{m3}\n")
@@ -145,7 +146,8 @@ def _load_t3b(path):
             f"got {len(raw)}",
             offset=min(len(raw), expected),
         )
-    data = np.frombuffer(raw[16:], dtype="<f8").reshape(m1, m2, m3)
+    # a view of the payload in raw; raw[16:] would copy it
+    data = np.frombuffer(raw, dtype="<f8", offset=16).reshape(m1, m2, m3)
     if not np.isfinite(data).all():
         raise ValidationError(f"non-finite entry in {path}")
     return Tensor3(data)
@@ -165,7 +167,7 @@ def _parse_csv(path):
         if len(parts) != 3:
             raise FormatError(f"bad csv header in {path}: {header.strip()!r}", offset=0)
         try:
-            m1, m2, m3 = (int(_plain(p)) for p in parts)
+            m1, m2, m3 = (integer(p) for p in parts)
         except ValueError:
             raise FormatError(
                 f"non-integer dims in csv header of {path}: {header.strip()!r}",
@@ -180,7 +182,7 @@ def _parse_csv(path):
             if not line:
                 continue
             try:
-                values.append(float(_plain(line)))
+                values.append(number(line))
             except ValueError:
                 raise FormatError(
                     f"bad value on line {lineno} of {path}: {line!r}"
@@ -195,9 +197,21 @@ def _parse_csv(path):
     return Tensor3(data.reshape(m1, m2, m3))
 
 
+def integer(text):
+    """int(text) for plain ASCII text: no digit-group underscores.
+
+    int() and float() also take underscores and non-ASCII digits, which no
+    file that save_tensor writes and no documented CLI value holds.
+    """
+    return int(_plain(text))
+
+
+def number(text):
+    """float(text) for plain ASCII text, as integer() does for int."""
+    return float(_plain(text))
+
+
 def _plain(text):
-    # int() and float() also take digit-group underscores and non-ASCII
-    # digits, which no csv that save_tensor writes holds
     if "_" in text or not text.isascii():
         raise ValueError(f"not a plain number: {text!r}")
     return text

@@ -6,7 +6,9 @@ table, density clustering by reachability closure instead of queue expansion,
 DBSCAN neighborhoods one point at a time by the row expression
 sqrt(sum((x_j - x_i)**2)) <= radius instead of a Gram product
 (row_dbscan: the rule whose every floating-point decision dbscan must
-reproduce, with dbscan's tie rules).
+reproduce, with dbscan's tie rules), and synthetic tensors by the one-shot
+formulas (the Box-Muller transform over the whole uniform draw, then
+signal + noise_scale * z with the full signal tensor) instead of in place.
 Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
 eigenpair route does, so the independent eigen oracle is the Jacobi solver
 (spectral.full_eigen_jacobi, round-robin ordering, numpy only), which
@@ -173,3 +175,46 @@ def set_partitions(n):
 def eigh_top(c):
     """Top eigenvalue via LAPACK eigvalsh (the default route uses eigh)."""
     return float(np.linalg.eigvalsh(np.asarray(c, dtype=float))[-1])
+
+
+def oneshot_boxmuller(rng, n):
+    """The documented Box-Muller transform applied to the whole draw at once.
+
+    u1 = draw[0::2], u2 = draw[1::2], r = sqrt(-2 log1p(-u1)); emits
+    r cos(2 pi u2), r sin(2 pi u2) interleaved, truncated to n.
+    """
+    if n == 0:
+        return np.empty(0)
+    pairs = (n + 1) // 2
+    u = rng.random(2 * pairs)
+    u1 = u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:n]
+
+
+def dense_synth(spec):
+    """signal + noise_scale * z, with the full signal tensor summed first.
+
+    Each component adds gamma * w x u x v over the whole tensor, w, u and v
+    being 1/sqrt(|J|) on the member set J and 0 elsewhere.
+    """
+    signal = np.zeros(spec.dims)
+    for comp in spec.components:
+        w, u, v = (_indicator(j, m)
+                   for j, m in zip((comp.j1, comp.j2, comp.j3), spec.dims))
+        signal += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
+    if spec.noise_scale == 0:
+        return signal
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    z = oneshot_boxmuller(rng, signal.size).reshape(spec.dims)
+    return signal + spec.noise_scale * z
+
+
+def _indicator(j, m):
+    v = np.zeros(m)
+    v[list(j)] = 1.0 / math.sqrt(len(j))
+    return v

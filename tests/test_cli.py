@@ -479,3 +479,82 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["modes"][0]["clusters"] == [[0, 1]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e150, 1e160])
+@pytest.mark.parametrize("eig", ["power", "exact"])
+@pytest.mark.parametrize("method", ["msc", "msc-dbscan", "msc-iterated"])
+def test_cluster_huge_entry_exits_2_naming_the_slice(tmp_path, capsys, method,
+                                                     eig, big):
+    # a covariance trace of 1e300 (or inf) fails 4 t^2 < inf on both routes,
+    # before any solver forms a square that overflows
+    data = np.random.default_rng(0).standard_normal((6, 6, 6))
+    data[2, 3, 4] = big
+    path = str(tmp_path / "h.t3b")
+    save_tensor(Tensor3(data), path)
+    rc = main(["cluster", path, "--method", method, "--eig", eig,
+               "--epsilon", "0.1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mode-1 slice 2 is too large")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eig", ["power", "exact"])
+def test_cluster_large_entry_below_the_limit_runs(tmp_path, capsys, eig):
+    # slice 2's trace is about 6.4e153, just under the limit
+    data = np.random.default_rng(0).standard_normal((6, 6, 6))
+    data[2, 3, 4] = 8e76
+    path = str(tmp_path / "h.t3b")
+    save_tensor(Tensor3(data), path)
+    rc = main(["cluster", path, "--method", "msc", "--eig", eig,
+               "--epsilon", "0.1"])
+    assert rc == 0
+    json.loads(capsys.readouterr().out)
+
+
+# each value, read as 10, gives a run that does not exit 2: argv, then the
+# flag and a template for its value
+_NUMBER_CASES = [
+    (["synth", "--dims", "12,12,12", "--gamma", "25", "--cluster-size", "2"],
+     [("--dims", "{},12,12"), ("--gamma", "{}"), ("--seed", "{}"),
+      ("--cluster-size", "{}"), ("--noise", "{}")]),
+    (["synth", "--dims", "12,12,12", "--gamma", "25", "--cluster-size", "1"],
+     [("--rank", "{}")]),
+    (["synth", "--dims", "12,12,12", "--rank", "2", "--cluster-size", "2"],
+     [("--gamma", "25,{}")]),
+    (["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims", "12,12,12",
+      "--cluster-size", "3"],
+     [("--gamma", "{}:20:5"), ("--dims", "12,12,{}"), ("--seed", "{}"),
+      ("--epsilon", "{}"), ("--runs", "{}"), ("--jobs", "{}")]),
+    (["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims", "12,12,12",
+      "--rank", "1"],
+     [("--cluster-size", "{}")]),
+    (["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims", "12,12,12",
+      "--cluster-size", "1"],
+     [("--rank", "{}")]),
+    (["cluster", "{path}"], [("--epsilon", "{}")]),
+]
+
+
+@pytest.mark.parametrize("digits", ["1_0", "１０", "١٠"],
+                         ids=["underscore", "fullwidth", "arabic_indic"])
+@pytest.mark.parametrize("argv, flag, template", [
+    (argv, flag, template) for argv, flags in _NUMBER_CASES
+    for flag, template in flags
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_cli_numbers_reject_literal_forms(tmp_path, capsys, argv, flag,
+                                          template, digits):
+    # int() and float() read each of these as 10; the rule is the csv
+    # reader's
+    path = tmp_path / "in.t3b"
+    save_tensor(Tensor3(np.ones((4, 4, 4))), str(path))
+    out = tmp_path / "out"
+    argv = [a.format(path=path) for a in argv]
+    argv += [flag, template.format(digits), "-o", str(out)]
+    rc = main(argv)
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()

@@ -49,6 +49,26 @@ def test_covariance_exactly_symmetric():
         assert np.array_equal(c, c.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_mirror_upper_matches_two_triu_form(n):
+    # bit for bit, with NaN, inf and both signed zeros above and below
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((n, n))
+    c.flat[rng.integers(0, n * n, 4 * n)] = rng.choice(
+        [0.0, -0.0, np.inf, -np.inf, np.nan], 4 * n)
+    want = np.triu(c) + np.triu(c, 1).T
+    out = spectral.mirror_upper(c)
+    assert out is c
+    assert c.tobytes() == want.tobytes()
+
+
+def test_covariance_of_a_single_row_has_no_negative_zero():
+    # 0 * -1 is -0.0 in an outer product
+    c = covariance(np.array([[0.0, -1.0, 2.0]]))
+    assert np.array_equal(c, [[0, 0, 0], [0, 1, -2], [0, -2, 4]])
+    assert not np.signbit(c[c == 0]).any()
+
+
 def test_covariance_rejects_bad_shape():
     with pytest.raises(ValueError):
         covariance(np.zeros(3))
@@ -420,3 +440,17 @@ def test_covariance_psd_property(rows, cols, seed):
     assert np.array_equal(c, c.T)
     assert np.diag(c).min() >= 0
     assert top_eigenpair(c).value >= -1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["power", "exact"])
+def test_top_eigen_rejects_a_trace_whose_square_overflows(method):
+    # 4 t^2 < inf holds at t = 6.7e153 and fails at 6.8e153 and at inf
+    ok = np.diag([6.7e153, 0.0])
+    top_eigen([ok], EigConfig(method))
+    for t in (6.8e153, np.inf):
+        covs = [np.eye(2), np.eye(2), np.diag([t, 0.0])]
+        with pytest.raises(ValidationError, match="^mode-3 slice 2 "):
+            top_eigen(covs, EigConfig(method), mode=3)
+        with pytest.raises(ValidationError, match="^matrix 2 "):
+            top_eigen(covs, EigConfig(method))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import dense_synth, oneshot_boxmuller
 from msc3 import (
     Component,
     FormatError,
@@ -19,6 +20,7 @@ from msc3 import (
     truth_to_json,
     unit_cluster_vector,
 )
+from msc3.synth import _BOXMULLER_BLOCK
 
 # first normal variates of the documented uniform-pair transform, seed 0
 BOXMULLER_SEED0 = [
@@ -68,6 +70,47 @@ def test_boxmuller_odd_count_truncates():
     z_full = boxmuller_normals(np.random.Generator(np.random.PCG64(0)), 8)
     z_odd = boxmuller_normals(np.random.Generator(np.random.PCG64(0)), 7)
     assert np.array_equal(z_odd, z_full[:7])
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 2 * _BOXMULLER_BLOCK - 1,
+                               2 * _BOXMULLER_BLOCK, 2 * _BOXMULLER_BLOCK + 1,
+                               6 * _BOXMULLER_BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_boxmuller_matches_oneshot_transform(n, seed):
+    # the block-wise in-place transform gives the one-shot formula's bits
+    z = boxmuller_normals(np.random.Generator(np.random.PCG64(seed)), n)
+    want = oneshot_boxmuller(np.random.Generator(np.random.PCG64(seed)), n)
+    assert z.shape == (n,)
+    assert z.tobytes() == want.tobytes()
+
+
+_ODD_COMPONENTS = [
+    Component(gamma=7.5, j1=(4, 0, 2), j2=(1, 3), j3=(0,)),
+    Component(gamma=3.0, j1=(5, 6), j2=(4,), j3=(2, 1)),
+]
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 3), (1, 5, 3), (7, 5, 937)])
+@pytest.mark.parametrize("noise", [1.0, 0.5, 0.0, 5e-324])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generate_matches_dense_formula(dims, noise, seed):
+    # bit for bit, signs of zero included: noise 5e-324 turns every |z| <
+    # 0.5 into a signed zero, and 0.0 + (-0.0) is 0.0
+    comps = _ODD_COMPONENTS if dims[0] > 1 else [
+        Component(gamma=2.0, j1=(0,), j2=(1, 2), j3=(0, 2))]
+    spec = SynthSpec(dims=dims, components=comps, seed=seed,
+                     noise_scale=noise)
+    t, _ = generate(spec)
+    assert t.data.tobytes() == dense_synth(spec).tobytes()
+
+
+def test_generate_tiny_noise_keeps_no_negative_zero():
+    spec = SynthSpec(dims=(7, 5, 3), components=_ODD_COMPONENTS,
+                     noise_scale=5e-324)
+    z = boxmuller_normals(np.random.Generator(np.random.PCG64(0)), 105)
+    assert np.signbit(5e-324 * z[5e-324 * z == 0]).any()
+    t, _ = generate(spec)
+    assert not np.signbit(t.data[t.data == 0]).any()
 
 
 def test_noiseless_rank1_entry_values():
