@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import ari, labels_from_clusters, rmse_subcube, weighted_mean_rmse
+from .parallel import set_solver_threads
 from .pipeline import (
     METHODS,
     clusters_from_json,
@@ -229,7 +230,10 @@ def cmd_sweep(args):
         for s in seeds
     ]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # one solver thread a job, so N jobs never start N x cores threads
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=set_solver_threads,
+                                 initargs=(1,)) as pool:
             cells = list(pool.map(_sweep_one, tasks))
     else:
         cells = map(_sweep_one, tasks)

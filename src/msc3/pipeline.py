@@ -4,7 +4,8 @@ The three modes are processed independently. Cross-mode pairing is by rank:
 clusters within each mode are ordered by descending mean marginal and matched
 by position, truncating to the smallest per-mode count. The pairing rule is
 recorded on the result so downstream consumers can see how triples were
-formed.
+formed. Each run holds numpy's OpenBLAS at one thread from start to end
+(parallel.blas_held), so its output does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .dbscan import split_cluster
 from .errors import DegenerateInputError, NoGapError, load_json
 from .msc import MscResult, msc_mode
+from .parallel import blas_held
 
 PAIRING_RULE = "rank-by-mean-marginal"
 
@@ -51,6 +53,7 @@ class TriclusterSet:
     pairing_rule: str = PAIRING_RULE
 
 
+@blas_held()
 def run_msc(t, epsilon, config=None):
     """Single-cluster-per-mode run on all three modes.
 
@@ -60,6 +63,7 @@ def run_msc(t, epsilon, config=None):
     return [msc_mode(t, mode, epsilon, config) for mode in (1, 2, 3)]
 
 
+@blas_held()
 def run_msc_dbscan(t, epsilon, config=None):
     """Per-mode clustering followed by density splitting, then pairing.
 
@@ -122,6 +126,7 @@ def modes_from_msc(results, tensor=None):
     return modes, pair_triclusters(modes, tensor=tensor)
 
 
+@blas_held()
 def run_msc_iterated(t, epsilon, config=None):
     """Repeated single-cluster extraction over shrinking complement sets.
 

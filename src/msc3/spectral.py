@@ -16,8 +16,12 @@ Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
-top_eigen alone decides how a mode's covariances meet a solver: both
-routes take them in stacks of about 1 MiB, one solver call a stack.
+top_eigen alone decides how a mode's covariances meet a solver. The
+LAPACK route takes them in stacks of about 1 MiB per solver thread, one
+thread per core, and top_eigenpair gives each thread one part of a stack
+(parallel.py);
+the Jacobi route takes stacks of about 1 MiB and solves them on the calling
+thread, whose time goes to many small numpy calls.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConvergenceError, ValidationError
 
 JACOBI_MAX_N = 512
 # working-array budget of one stacked Jacobi solve; a stack is solved in
 # chunks of matrices whose working arrays (about 80 n^2 bytes each) fit it
 _JACOBI_CHUNK_BYTES = 32 << 20
-# covariances that top_eigen pulls and solves at once
+# covariances that one solver thread, or one Jacobi call, takes at once
 _CHUNK_BYTES = 1 << 20
 
 
@@ -128,30 +133,45 @@ def top_eigenpair(c, tol=1e-10):
     ||C v - lambda v|| <= tol * max(lambda, 1), or ConvergenceError (with
     the residual) is raised. Each eigenvalue is clamped at 0 and each
     vector has its largest-magnitude entry nonnegative.
+
+    A stack is solved in equal parts, one per solver thread
+    (parallel.map_in_order); the pairs come back in stack order, and the
+    first part in order that raised re-raises here.
     """
     stacked = np.ndim(c) == 3
     a = _check_symmetric(c, stacked=stacked)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pairs = _top_pairs(a if stacked else a[np.newaxis], tol)
-    return pairs if stacked else pairs[0]
+    if not stacked:
+        return _top_pairs(a[np.newaxis], tol, np.empty_like(a[np.newaxis]))[0]
+    size = max(-(-len(a) // parallel.solver_threads()), 1)
+    # the threads shift copies in this buffer: a chunk-sized allocation
+    # made on a pool thread would stay in that thread's malloc arena
+    scratch = np.empty_like(a)
+    parts = parallel.map_in_order(
+        lambda lo: _top_pairs(a[lo:lo + size], tol, scratch[lo:lo + size]),
+        range(0, len(a), size))
+    return [pair for part in parts for pair in part]
 
 
-def _top_pairs(a, tol):
+def _top_pairs(a, tol, scratch):
     # inverse iteration where it meets the residual test, _eigh_top for the
-    # rest; rows of v stay NaN for the matrices it does not solve
+    # rest; rows of v stay NaN for the matrices it does not solve. scratch
+    # is a buffer of a's shape for the shifted copies.
     k, n, _ = a.shape
     lam = np.linalg.eigvalsh(a)[:, -1]
     v = np.full((k, n), np.nan)
     live = lam != 0
     with np.errstate(all="ignore"):
         try:
-            v[live] = _inverse_iteration(a[live], lam[live])
+            b = np.compress(live, a, axis=0, out=scratch[:live.sum()])
+            v[live] = _inverse_iteration(b, lam[live])
         except np.linalg.LinAlgError:
             # one singular shifted matrix fails the whole batched solve;
             # alone, the others get the same bits and it goes to eigh
             if k > 1:
-                return [p for c in a for p in _top_pairs(c[np.newaxis], tol)]
+                return [p for i in range(k) for p in
+                        _top_pairs(a[i:i + 1], tol, scratch[i:i + 1])]
         res = np.linalg.norm((a @ v[..., np.newaxis])[..., 0]
                              - lam[:, np.newaxis] * v, axis=1)
     ok = res <= tol * np.abs(lam)
@@ -351,29 +371,34 @@ def top_eigen(covs, config=None, mode=None):
     """Top eigenpair of each matrix in covs via the configured method.
 
     This is the one place that decides how a mode's covariances are solved.
-    Both routes pull them from the iterable in chunks of about
-    _CHUNK_BYTES of matrices and solve each chunk with one call, so at most
-    one chunk is alive at once: 'power' through top_eigenpair, 'exact'
-    through full_eigen_jacobi, with each top eigenvalue clamped at 0.
-    Before either solves a chunk, a covariance whose trace t fails
+    'power' pulls them from the iterable in stacks of about _CHUNK_BYTES of
+    matrices per solver thread and solves each stack with one top_eigenpair
+    call, which gives each thread one part; 'exact' pulls stacks of
+    about _CHUNK_BYTES and solves each with one full_eigen_jacobi call on
+    the calling thread, clamping each top eigenvalue at 0. So at most one
+    chunk per solver thread is alive at once. numpy's OpenBLAS is held at
+    one thread throughout (parallel.blas_held).
+    Before either solves a stack, a covariance whose trace t fails
     4 t^2 < inf raises ValidationError naming the slice (and mode, if
     given): for a PSD matrix t bounds ||C||_F, lambda and ||C v||, so below
     that limit no squared norm either solver forms can overflow.
     Returns a list with one EigenPair per matrix.
     """
     exact = (config or EigConfig()).method == "exact"
+    chunks = 1 if exact else parallel.solver_threads()
     out = []
     it = iter(covs)
-    for first in it:
-        first = np.asarray(first, dtype=np.float64)
-        more = max(_CHUNK_BYTES // max(first.nbytes, 1) - 1, 0)
-        chunk = np.stack([first, *itertools.islice(it, more)])
-        _check_scale(chunk, len(out), mode)
-        if exact:
-            out += [EigenPair(max(spectrum[0].value, 0.0), spectrum[0].vector)
-                    for spectrum in full_eigen_jacobi(chunk)]
-        else:
-            out += top_eigenpair(chunk)
+    with parallel.blas_held():
+        for first in it:
+            first = np.asarray(first, dtype=np.float64)
+            more = chunks * max(_CHUNK_BYTES // max(first.nbytes, 1), 1) - 1
+            stack = np.stack([first, *itertools.islice(it, more)])
+            _check_scale(stack, len(out), mode)
+            if exact:
+                out += [EigenPair(max(s[0].value, 0.0), s[0].vector)
+                        for s in full_eigen_jacobi(stack)]
+            else:
+                out += top_eigenpair(stack)
     return out
 
 

@@ -9,6 +9,7 @@ Indices are 0-based everywhere. Modes are numbered 1, 2, 3.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -147,10 +148,16 @@ def _load_t3b(path):
             offset=min(len(raw), expected),
         )
     # a view of the payload in raw; raw[16:] would copy it
-    data = np.frombuffer(raw, dtype="<f8", offset=16).reshape(m1, m2, m3)
-    if not np.isfinite(data).all():
-        raise ValidationError(f"non-finite entry in {path}")
-    return Tensor3(data)
+    return _tensor(np.frombuffer(raw, dtype="<f8", offset=16), (m1, m2, m3),
+                   path)
+
+
+def _tensor(values, dims, path):
+    # Tensor3 makes the one finiteness pass; its error names the file here
+    try:
+        return Tensor3(values.reshape(dims))
+    except ValidationError:
+        raise ValidationError(f"non-finite entry in {path}") from None
 
 
 def _load_csv(path):
@@ -176,25 +183,29 @@ def _parse_csv(path):
         if min(m1, m2, m3) < 1:
             raise FormatError(f"non-positive dims ({m1},{m2},{m3}) in {path}", offset=0)
         n = m1 * m2 * m3
-        values = []
+        # parsed straight into the array; a file of s bytes holds at most
+        # s // 2 values (a pipe reports 0 bytes), so a header that claims
+        # more than the file can hold allocates no more than the file
+        data = np.empty(min(n, os.fstat(fh.fileno()).st_size // 2 or n))
+        count = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                values.append(number(line))
+                value = number(line)
             except ValueError:
                 raise FormatError(
                     f"bad value on line {lineno} of {path}: {line!r}"
                 ) from None
-    if len(values) != n:
+            if count < data.size:
+                data[count] = value
+            count += 1
+    if count != n:
         raise FormatError(
-            f"value count mismatch in {path}: expected {n}, got {len(values)}"
+            f"value count mismatch in {path}: expected {n}, got {count}"
         )
-    data = np.array(values, dtype=np.float64)
-    if not np.isfinite(data).all():
-        raise ValidationError(f"non-finite entry in {path}")
-    return Tensor3(data.reshape(m1, m2, m3))
+    return _tensor(data, (m1, m2, m3), path)
 
 
 def integer(text):

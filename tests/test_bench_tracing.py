@@ -7,12 +7,13 @@ traced" and carries on, so these tests pin the wiring instead.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
 
 import msc3.cli
-from msc3 import Component, SynthSpec, generate, save_tensor
+from msc3 import Component, SynthSpec, generate, save_tensor, spectral
 
 _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -42,14 +43,19 @@ COMMON = {"tensor.load", "tensor.slice", "spectral.covariance",
 SOLVER = {"power": "spectral.top_eigen", "exact": "spectral.jacobi"}
 
 
-@pytest.mark.parametrize("eig", ["power", "exact"])
-def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig):
+def _planted(tmp_path):
     blocks = [Component(gamma=g, j1=j, j2=j, j3=j)
               for g, j in ((40.0, (0, 1, 2)), (20.0, (3, 4, 5)))]
     t, _ = generate(SynthSpec(dims=(12, 12, 12), components=blocks, seed=0,
                               noise_scale=0.5))
     path = tmp_path / "t.t3b"
     save_tensor(t, str(path))
+    return path
+
+
+@pytest.mark.parametrize("eig", ["power", "exact"])
+def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig):
+    path = _planted(tmp_path)
     main = msc3.cli.main
     tracer = tracing.Tracer()
     with tracer.op(0):
@@ -63,3 +69,34 @@ def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig):
     assert other not in names
     # the originals are back once the op ends
     assert msc3.cli.main is main
+
+
+@pytest.mark.parametrize("eig", ["power", "exact"])
+def test_every_traced_layer_runs_on_the_calling_thread(tracing, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       eig):
+    # the tracer keeps one span stack, so a wrapped call on a solver thread
+    # would corrupt its spans; modes here span several chunks
+    path = _planted(tmp_path)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 12 * 12)
+    calls = []
+    for module, attr, name, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        *parts, leaf = attr.split(".")
+        for part in parts:
+            owner = getattr(owner, part)
+        fn = getattr(owner, leaf)
+
+        def wrapped(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, leaf, wrapped)
+    rc = msc3.cli.main(["cluster", str(path), "--eig", eig,
+                        "-o", str(tmp_path / "c.json")])
+    capsys.readouterr()
+    assert rc == 0
+    assert [name for name, _ in calls].count(SOLVER[eig]) >= 3
+    off = {name for name, thread in calls
+           if thread is not threading.main_thread()}
+    assert not off

@@ -2,7 +2,7 @@
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every tensor-sized copy. Each bound is a ratio to the tensor's own bytes at
-100^3 (8 MB).
+100^3 (8 MB), or at 40^3 for the slower csv reader.
 """
 
 import tracemalloc
@@ -56,3 +56,14 @@ def test_load_t3b_keeps_one_tensor_sized_buffer(tensor, tmp_path):
     ratio, t = _peak_ratio(lambda: load_tensor(path))
     assert ratio <= 1.25
     assert t.data.tobytes() == tensor.data.tobytes()
+
+
+def test_load_csv_parses_into_one_tensor_sized_buffer(tmp_path):
+    # a list of Python floats copied into an array peaked at about 5.2x
+    t = generate(benchmark_spec(80.0, 0, dims=(40, 40, 40), cluster_size=5))[0]
+    path = str(tmp_path / "t.csv")
+    save_tensor(t, path, fmt="csv")
+    load_tensor(path, fmt="csv")
+    ratio, loaded = _peak_ratio(lambda: load_tensor(path, fmt="csv"))
+    assert ratio * NBYTES <= 1.3 * t.data.nbytes
+    assert loaded.data.tobytes() == t.data.tobytes()

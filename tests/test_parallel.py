@@ -1,0 +1,177 @@
+"""The solver pool across threads and processes, and output across BLAS
+thread counts.
+
+The process checks run in a fresh interpreter, so that the thread count
+numpy's OpenBLAS starts with, and the pool a forked child inherits, are the
+ones under test rather than whatever the test session left behind.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+
+import pytest
+
+from msc3 import benchmark_spec, generate, parallel, save_tensor
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _python(code, timeout, **env):
+    # pytest's pythonpath setting does not reach subprocesses. The child
+    # gets its own process group, so that a hang kills the processes it
+    # forked too.
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, full.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=full, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+needs_control = pytest.mark.skipif(
+    parallel._blas_control() is None,
+    reason="numpy's BLAS exposes no thread control")
+
+
+@needs_control
+def test_cluster_output_does_not_depend_on_blas_threads(tmp_path):
+    # from about 100^3 up, d differed in its last bits between one and two
+    # OpenBLAS threads before a run held BLAS at one thread
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(60.0, 0, dims=(100, 100, 100)))[0],
+                path)
+    code = f"""
+        import sys
+        from msc3.cli import main
+        sys.exit(main(["cluster", {path!r}]))
+    """
+    runs = [_python(code, 120, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+@needs_control
+def test_blas_hold_is_shared_by_threads():
+    # more threads than cores entering and leaving the hold with a short
+    # switch interval: the count is 1 inside every scope, and the last one
+    # out restores it
+    get, set_ = parallel._blas_control()
+    before = get()
+    set_(2)
+    wrong = []
+
+    def hold():
+        for _ in range(200):
+            with parallel.blas_held():
+                if get() != 1:
+                    wrong.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+
+
+def _strip_wall(text):
+    return [line.split(",")[:6] + line.split(",")[7:]
+            for line in text.splitlines()]
+
+
+@needs_control
+def test_sweep_jobs_after_an_in_process_run_forks_a_fresh_pool(tmp_path):
+    # the cluster run starts the pool; sweep --jobs 2 then forks children
+    # that must not wait on the parent's threads, which they do not have
+    tensor = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(30.0, 0, dims=(12, 12, 12),
+                                        cluster_size=3))[0], tensor)
+    sweep = ["sweep", "--gamma", "20:25:5", "--runs", "2", "--dims",
+             "12,12,12", "--cluster-size", "3", "--rank", "2"]
+    code = f"""
+        import contextlib, io, sys
+        from msc3 import parallel
+        from msc3.cli import main
+        parallel.set_solver_threads(2)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cluster", {tensor!r}]) == 0
+            assert parallel._pool is not None
+            for jobs in ("1", "2"):
+                out = {str(tmp_path)!r} + f"/s{{jobs}}.csv"
+                assert main([*{sweep!r}, "--jobs", jobs, "-o", out]) == 0
+    """
+    proc = _python(code, 120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("s{}.csv", "s{}_agg.csv"):
+        one, two = ((tmp_path / name.format(j)).read_text() for j in (1, 2))
+        assert _strip_wall(one) == _strip_wall(two)
+
+
+@needs_control
+def test_forked_child_starts_its_own_pool():
+    code = """
+        import os, sys, time
+        import numpy as np
+        from msc3 import parallel, top_eigenpair
+
+        parallel.set_solver_threads(2)
+        stack = np.stack([np.eye(4) * (i + 1) for i in range(6)])
+        want = [p.value for p in top_eigenpair(stack)]
+        assert parallel._pool is not None
+        time.sleep(0.2)  # the threads go idle, as between two runs
+        pid = os.fork()
+        if pid == 0:
+            ok = [p.value for p in top_eigenpair(stack)] == want
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                sys.exit(os.waitstatus_to_exitcode(status))
+            time.sleep(0.05)
+        os.kill(pid, 9)
+        sys.exit("the child hung on the parent's pool")
+    """
+    proc = _python(code, 120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_jobs_run_one_solver_thread_each(tmp_path):
+    out = str(tmp_path / "s.csv")
+    code = f"""
+        import sys
+        import msc3.cli
+        from msc3 import parallel
+
+        sweep_one = msc3.cli._sweep_one
+
+        def checked(task):
+            assert parallel.solver_threads() == 1
+            return sweep_one(task)
+
+        msc3.cli._sweep_one = checked
+        sys.exit(msc3.cli.main(["sweep", "--gamma", "20:25:5", "--runs", "1",
+                                "--dims", "12,12,12", "--cluster-size", "3",
+                                "--jobs", "2", "-o", {out!r}]))
+    """
+    proc = _python(code, 120)
+    assert proc.returncode == 0, proc.stderr

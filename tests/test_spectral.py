@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -9,13 +10,19 @@ from hypothesis import strategies as st
 from msc3 import (
     ConvergenceError,
     EigConfig,
+    Tensor3,
     ValidationError,
+    benchmark_spec,
     covariance,
     full_eigen_jacobi,
+    generate,
+    run_msc_dbscan,
+    save_tensor,
     top_eigen,
     top_eigenpair,
 )
-from msc3 import spectral
+from msc3 import parallel, spectral
+from msc3.cli import main
 from msc3.spectral import _round_robin
 
 from _oracles import eigh_top
@@ -326,14 +333,33 @@ def _covs(n):
     return mats[:2] + [np.zeros((n, n))] + mats[2:]
 
 
+@pytest.fixture
+def solver_threads():
+    """Sets the pool's thread count for one test; one per core again after."""
+    def use(n):
+        if n > 1 and parallel._blas_control() is None:
+            pytest.skip("numpy's BLAS exposes no thread control")
+        parallel.set_solver_threads(n)
+    yield use
+    parallel.set_solver_threads(None)
+
+
 @pytest.mark.parametrize("n", [1, 6])
-def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
-    # on both routes each chunk is solved before the next one is pulled, so
-    # at most one chunk is alive at once; the budget here holds 2 matrices
+def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
+                                                 solver_threads):
+    # each stack is solved before the next one is pulled, so at most one
+    # chunk per solver thread is alive at once: the power route pulls a
+    # chunk per thread, the exact route one chunk; the budget here holds 2
+    # matrices
     mats = _covs(n)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * n * n)
-    for method, name in (("power", "top_eigenpair"),
-                         ("exact", "full_eigen_jacobi")):
+    cases = [(1, "power", "top_eigenpair", [(2, 2), (4, 2), (5, 1)]),
+             (1, "exact", "full_eigen_jacobi", [(2, 2), (4, 2), (5, 1)])]
+    if parallel._blas_control() is not None:
+        cases += [(2, "power", "top_eigenpair", [(4, 4), (5, 1)]),
+                  (2, "exact", "full_eigen_jacobi", [(2, 2), (4, 2), (5, 1)])]
+    for threads, method, name, stacks in cases:
+        solver_threads(threads)
         pulled, seen = [], []
         solve = getattr(spectral, name)
 
@@ -348,12 +374,146 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
 
         monkeypatch.setattr(spectral, name, traced)
         got = top_eigen(one_shot(), EigConfig(method=method))
-        assert seen == [(2, 2), (4, 2), (5, 1)]
+        monkeypatch.setattr(spectral, name, solve)
+        assert seen == stacks
         want = [solve(c) for c in mats]
         if method == "exact":
             want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
                     for s in want]
         assert _same_pairs(got, want)
+
+
+def _mode_of_covs(n=6, count=23):
+    # random covariances with a zero one and one whose shifted solve is
+    # singular, so that a part falls back to eigh matrix by matrix
+    mats = [random_psd(n, seed=400 + i) for i in range(count)]
+    mats[5] = np.zeros((n, n))
+    mats[17] = np.diag([0.0, 5e-324] + [0.0] * (n - 2))
+    return mats
+
+
+@pytest.mark.parametrize("method", ["power", "exact"])
+def test_top_eigen_on_the_pool_matches_one_thread_bit_for_bit(
+        method, monkeypatch, solver_threads):
+    # 23 matrices in chunks of 3: several stacks per mode, parts of unequal
+    # length, and the last stack short
+    mats = _mode_of_covs()
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
+    solver_threads(1)
+    one = top_eigen(iter(mats), EigConfig(method))
+    for threads in (2, 3):
+        solver_threads(threads)
+        assert _same_pairs(top_eigen(iter(mats), EigConfig(method)), one)
+    if method == "power":
+        assert _same_pairs(one, [top_eigenpair(c) for c in mats])
+
+
+def test_top_eigenpair_parts_of_a_stack_match_solo_solves(solver_threads):
+    # 23 matrices in parts of 8, 8 and 7
+    mats = _mode_of_covs()
+    solver_threads(3)
+    solo = [top_eigenpair(c) for c in mats]
+    assert _same_pairs(top_eigenpair(np.stack(mats)), solo)
+    assert top_eigenpair(np.zeros((0, 6, 6))) == []
+
+
+@pytest.mark.parametrize("method", ["power", "exact"])
+def test_top_eigen_huge_slice_in_a_late_chunk_names_it_on_the_pool(
+        method, monkeypatch, solver_threads):
+    mats = _mode_of_covs()
+    mats[20] = np.diag([6.8e153] + [0.0] * 5)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
+    messages = []
+    for threads in (1, 3):
+        solver_threads(threads)
+        with pytest.raises(ValidationError) as err:
+            top_eigen(iter(mats), EigConfig(method), mode=2)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("mode-2 slice 20 is too large")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
+        threads, tmp_path, capsys, monkeypatch, solver_threads):
+    solver_threads(threads)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 12 * 12)
+    data = np.random.default_rng(0).standard_normal((12, 12, 12))
+    data[10, 3, 4] = 1e160
+    path = str(tmp_path / "h.t3b")
+    save_tensor(Tensor3(data), path)
+    assert main(["cluster", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: mode-1 slice 10 is too large")
+
+
+def test_a_failing_part_reraises_after_every_part_is_done(solver_threads):
+    # the first part in order that raised re-raises, after every part is
+    # done; more parts than threads queue on the pool
+    solver_threads(3)
+    done = []
+
+    def part(i):
+        time.sleep(0.01 * (4 - i))
+        done.append(i)
+        if i in (1, 2):
+            raise ValueError(f"part {i}")
+        return i
+
+    with pytest.raises(ValueError, match="part 1"):
+        parallel.map_in_order(part, range(4))
+    assert sorted(done) == [0, 1, 2, 3]
+    assert parallel.map_in_order(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+
+
+@pytest.fixture
+def blas_sets(monkeypatch):
+    """Records each change of numpy's OpenBLAS thread count; starts at 2."""
+    control = parallel._blas_control()
+    if control is None:
+        pytest.skip("numpy's BLAS exposes no thread control")
+    get, set_ = control
+    before = get()
+    set_(2)
+    sets = []
+
+    def counted(n):
+        sets.append(n)
+        set_(n)
+
+    monkeypatch.setattr(parallel, "_blas_control", lambda: (get, counted))
+    yield get, sets
+    set_(before)
+
+
+def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
+                                                        monkeypatch):
+    get, sets = blas_sets
+    seen = []
+    solve = spectral.top_eigenpair
+
+    def recorded(c):
+        seen.append(get())
+        return solve(c)
+
+    monkeypatch.setattr(spectral, "top_eigenpair", recorded)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 12 * 12)
+    t = generate(benchmark_spec(40.0, 0, dims=(12, 12, 12), cluster_size=3))[0]
+    run_msc_dbscan(t, 0.1)
+    # once per run: the count changes to 1 and back, not per mode or stack
+    assert sets == [1, 2] and get() == 2
+    assert len(seen) > 3 and set(seen) == {1}
+    with parallel.blas_held():
+        with parallel.blas_held():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    data = t.data.copy()
+    data[0, 11, 11] = 1e160
+    with pytest.raises(ValidationError, match="mode-1 slice 0 "):
+        run_msc_dbscan(Tensor3(data), 0.1)
+    assert get() == 2
+    assert sets == [1, 2, 1, 2, 1, 2]
 
 
 def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):

@@ -205,6 +205,47 @@ def test_csv_nan_rejected(tmp_path):
         load_tensor(path, fmt="csv")
 
 
+@pytest.mark.parametrize("fmt", ["t3b", "csv"])
+def test_non_finite_entry_is_reported_with_the_path(tmp_path, fmt):
+    # Tensor3 makes the one finiteness pass; the loader names the file
+    data = np.zeros((2, 3, 2))
+    save_tensor(Tensor3(data), tmp_path / "t", fmt=fmt)
+    path = tmp_path / "t"
+    if fmt == "t3b":
+        raw = bytearray(path.read_bytes())
+        raw[16 + 8 * 7:16 + 8 * 8] = np.array([np.inf], "<f8").tobytes()
+        path.write_bytes(bytes(raw))
+    else:
+        lines = path.read_text().splitlines()
+        lines[8] = "-inf"
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"^non-finite entry in {path}$"):
+        load_tensor(str(path), fmt=fmt)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,1,2\n0\n1\n2\n", "expected 2, got 3"),
+    ("1,1,2\n0\n1\n2\n\n3\n", "expected 2, got 4"),
+    ("1,1,3\n0\n\n1\n", "expected 3, got 2"),
+    # more values than a file of its size can hold: nothing that size is
+    # allocated
+    ("100000,100000,100000\n1\n", "expected 1000000000000000, got 1"),
+])
+def test_csv_value_count_mismatch_reports_both_counts(tmp_path, text,
+                                                     message):
+    path = tmp_path / "n.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"mismatch in .*: {message}$"):
+        load_tensor(str(path), fmt="csv")
+
+
+def test_csv_bad_value_past_the_count_names_its_line(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text("1,1,1\n0\n1\nx\n")
+    with pytest.raises(FormatError, match="bad value on line 4 "):
+        load_tensor(str(path), fmt="csv")
+
+
 @pytest.mark.parametrize("raw", [
     b"1,1,2\n0.5\n\xff\xfe\n",  # bytes that are not UTF-8 in a value
     b"1,1,\xc3\n0\n",  # a truncated UTF-8 sequence in the header
