@@ -34,8 +34,8 @@ from .pipeline import (
     run_msc_dbscan,
 )
 from .spectral import EigConfig
-from .synth import Component, SynthSpec, benchmark_spec, generate, truth_from_json, truth_to_json
-from .tensor import integer, load_tensor, number, save_tensor
+from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
+from .tensor import _mode_axis, integer, load_tensor, number, save_tensor
 
 RESULT_HEADER = "gamma,seed,method,mode,ari,rmse,wall_ms,status"
 AGGREGATE_HEADER = "gamma,method,ari_mean,ari_std,rmse_mean"
@@ -51,19 +51,6 @@ def _parse_dims(text):
     if min(dims) < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     return dims
-
-
-def _parse_gammas(text, rank):
-    vals = [number(p) for p in text.split(",")]
-    if len(vals) == 1 and rank > 1:
-        vals = vals * rank
-    if len(vals) != rank:
-        raise ValueError(
-            f"--gamma gave {len(vals)} values for rank {rank}"
-        )
-    if min(vals) <= 0:
-        raise ValueError("gamma values must be positive")
-    return vals
 
 
 def _parse_gamma_range(text):
@@ -87,18 +74,9 @@ def _parse_gamma_range(text):
 
 def cmd_synth(args):
     dims = _parse_dims(args.dims)
-    gammas = _parse_gammas(args.gamma, args.rank)
-    if args.rank * args.cluster_size > min(dims):
-        raise ValueError(
-            f"rank {args.rank} x cluster size {args.cluster_size} "
-            f"exceeds min dim {min(dims)}"
-        )
-    comps = []
-    for c in range(args.rank):
-        block = tuple(range(c * args.cluster_size, (c + 1) * args.cluster_size))
-        comps.append(Component(gamma=gammas[c], j1=block, j2=block, j3=block))
-    spec = SynthSpec(dims=dims, components=comps, seed=args.seed,
-                     noise_scale=args.noise)
+    spec = benchmark_spec([number(p) for p in args.gamma.split(",")], args.seed,
+                          dims=dims, cluster_size=args.cluster_size,
+                          rank=args.rank, noise_scale=args.noise)
     t, truth = generate(spec)
     save_tensor(t, args.out, fmt=args.format)
     if args.truth:
@@ -141,9 +119,7 @@ def cmd_eval(args):
         mode_aris = []
         for entry in pred["modes"]:
             mode = entry["mode"]
-            if mode not in (1, 2, 3):
-                raise ValidationError(f"clusters JSON has mode {mode}, not 1, 2 or 3")
-            m = dims[mode - 1]
+            m = dims[_mode_axis(mode)]
             if entry["d"] and len(entry["d"]) != m:
                 raise ValidationError(
                     f"mode-{mode} size mismatch: prediction has "

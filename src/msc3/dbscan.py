@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .msc import marginal_spread_bound
+from .msc import _check_epsilon, marginal_spread_bound
 
 NOISE = -1
 UNVISITED = -2
@@ -47,9 +47,9 @@ def dbscan(points, radius, minpts):
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf entries")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    if minpts < 1:
+    if not minpts >= 1:
         raise ValueError("minpts must be at least 1")
     n = pts.shape[0]
     neighbors = _neighborhoods(pts, radius)
@@ -142,12 +142,12 @@ def derived_radius(l, epsilon, m):
 
     This ties the density radius to the marginal spread allowance of a
     size-l cluster over m slices. Clamped from below at 1e-12 so the
-    l = 2, epsilon -> 0 boundary still yields a usable radius.
+    l = 2, epsilon -> 0 boundary still yields a usable radius. epsilon is
+    checked as in msc_mode.
     """
     if not 2 <= l <= m - 1:
         raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _check_epsilon(epsilon, m)
     return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
 
 

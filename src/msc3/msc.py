@@ -11,7 +11,7 @@ form a chain with no oversized step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,6 +79,22 @@ def marginal_spread_bound(l, epsilon, m):
     return l * epsilon / 2.0 + term
 
 
+def _check_epsilon(epsilon, m):
+    # finite, positive, and keeping the bound at size m (so at every l) finite
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
+        raise ValueError(f"epsilon {epsilon} overflows the spread bound")
+
+
+def _check_marginals(d):
+    # marginals are row sums of |V^T V|: finite and nonnegative, one per slice
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim != 1 or not np.all((0 <= d) & (d < np.inf)):
+        raise ValueError("marginals must be a 1-d array of finite values >= 0")
+    return d
+
+
 def slice_spectra(t, mode, config=None):
     """Top eigenpair of every slice covariance along one mode.
 
@@ -115,9 +131,10 @@ def initial_cluster_by_gap(d):
     Sorts d ascending, finds the largest consecutive gap (ties prefer the
     gap at larger d values, which yields the smaller, tighter group), and
     returns the indices whose d exceeds the gap midpoint. Raises NoGapError
-    when all values are equal within 1e-12.
+    when all values are equal within 1e-12, and ValueError unless d is a
+    1-d array of finite values >= 0.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = _check_marginals(d)
     if d.size < 3:
         raise ValueError(f"need at least 3 marginals, got {d.size}")
     vals = np.sort(d)
@@ -126,12 +143,12 @@ def initial_cluster_by_gap(d):
     gaps = np.diff(vals)
     # last occurrence of the maximum gap = the tie at larger d values
     pos = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
-    mid = 0.5 * (vals[pos] + vals[pos + 1])
+    # 0.5 * (a + b) to the bit above the subnormals, but it cannot overflow
+    mid = 0.5 * vals[pos] + 0.5 * vals[pos + 1]
     return tuple(int(i) for i in np.flatnonzero(d > mid))
 
 
-def refine_cluster(j0, d, epsilon, m, mode=0, similarity=None,
-                   lambda_max=None, strength_ratio=None):
+def refine_cluster(j0, d, epsilon, m, mode=0):
     """Shrink a seed cluster until its d values satisfy the spread test.
 
     At size l the allowance is marginal_spread_bound(l, epsilon, m). The
@@ -139,11 +156,11 @@ def refine_cluster(j0, d, epsilon, m, mode=0, similarity=None,
     its members exceeds the allowance; otherwise the member with the
     smallest d is removed and the test repeats. Removal-only, so the loop
     runs at most |j0| - 1 times. If the size drops below 2 the result is an
-    empty, non-converged cluster.
+    empty, non-converged cluster. epsilon and d are checked as in msc_mode
+    and initial_cluster_by_gap.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = np.asarray(d, dtype=np.float64)
+    _check_epsilon(epsilon, m)
+    d = _check_marginals(d)
     members = sorted(int(i) for i in j0)
     if len(members) < 2:
         raise ValueError(f"seed cluster must have at least 2 members, got {len(members)}")
@@ -155,8 +172,7 @@ def refine_cluster(j0, d, epsilon, m, mode=0, similarity=None,
     cluster = tuple(members) if len(members) >= 2 else ()
     return MscResult(
         mode=mode, cluster=cluster, d=d, epsilon=epsilon, size=len(cluster),
-        bound=bound, converged=bool(cluster), similarity=similarity,
-        lambda_max=lambda_max, strength_ratio=strength_ratio,
+        bound=bound, converged=bool(cluster),
     )
 
 
@@ -169,11 +185,8 @@ def msc_mode(t, mode, epsilon, config=None):
     epsilon that is not finite and positive, or so large that the spread
     bound at the full size m overflows.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     m = t.dims[mode - 1]
-    if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
-        raise ValueError(f"epsilon {epsilon} overflows the spread bound")
+    _check_epsilon(epsilon, m)
     spectra = slice_spectra(t, mode, config)
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
@@ -181,12 +194,10 @@ def msc_mode(t, mode, epsilon, config=None):
     ratio = spectra.lambda_max / baseline if baseline > 0 else float("inf")
     seed = initial_cluster_by_gap(sim.d)
     if len(seed) < 2:
-        return MscResult(
+        res = MscResult(
             mode=mode, cluster=(), d=sim.d, epsilon=epsilon, size=0,
-            bound=marginal_spread_bound(2, epsilon, m), converged=False,
-            similarity=sim, lambda_max=spectra.lambda_max, strength_ratio=ratio,
-        )
-    return refine_cluster(
-        seed, sim.d, epsilon, m, mode=mode, similarity=sim,
-        lambda_max=spectra.lambda_max, strength_ratio=ratio,
-    )
+            bound=marginal_spread_bound(2, epsilon, m), converged=False)
+    else:
+        res = refine_cluster(seed, sim.d, epsilon, m, mode=mode)
+    return replace(res, similarity=sim, lambda_max=spectra.lambda_max,
+                   strength_ratio=ratio)

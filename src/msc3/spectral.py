@@ -94,20 +94,27 @@ def _strict_lower(n):
     return mask
 
 
-def _check_symmetric(c, stacked=False):
-    # one square matrix, or with stacked=True a (k, n, n) stack of them
+def _symmetric_stack(c):
+    # both solvers' input: one matrix or a (k, n, n) stack, returned as a
+    # stack with whether it was one matrix. 4 ||C||_F^2 < inf keeps every
+    # norm and threshold either solver forms finite.
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 + stacked or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
-        kind = "stack of square matrices" if stacked else "square matrix"
-        raise ValueError(f"expected a {kind}, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValidationError("matrix contains NaN or Inf entries")
-    if c.shape[-1] > 1 and c.size:
+    single = c.ndim == 2
+    a = c[np.newaxis] if single else c
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {c.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(4.0 * np.einsum("kij,kij->k", a, a) < np.inf)
+    if bad.any():
+        raise ValidationError(f"matrix {int(np.argmax(bad))} has NaN or Inf "
+                              "entries, or 4 ||C||_F^2 overflows")
+    if a.shape[-1] > 1 and a.size:
         # one temporary: the difference, made absolute in place
-        d = c - np.swapaxes(c, -1, -2)
+        d = a - np.swapaxes(a, -1, -2)
         if np.abs(d, out=d).max() > 1e-9:
             raise ValidationError("matrix is not symmetric within 1e-9")
-    return c
+    return a, single
 
 
 def _fix_sign(v):
@@ -132,18 +139,16 @@ def top_eigenpair(c, tol=1e-10):
     alone by numpy.linalg.eigh, whose largest pair must meet
     ||C v - lambda v|| <= tol * max(lambda, 1), or ConvergenceError (with
     the residual) is raised. Each eigenvalue is clamped at 0 and each
-    vector has its largest-magnitude entry nonnegative.
+    vector has its largest-magnitude entry nonnegative. A matrix not finite
+    and symmetric, or with 4 ||C||_F^2 = inf, raises ValidationError.
 
     A stack is solved in equal parts, one per solver thread
     (parallel.map_in_order); the pairs come back in stack order, and the
     first part in order that raised re-raises here.
     """
-    stacked = np.ndim(c) == 3
-    a = _check_symmetric(c, stacked=stacked)
-    if tol <= 0:
+    a, single = _symmetric_stack(c)
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if not stacked:
-        return _top_pairs(a[np.newaxis], tol, np.empty_like(a[np.newaxis]))[0]
     size = max(-(-len(a) // parallel.solver_threads()), 1)
     # the threads shift copies in this buffer: a chunk-sized allocation
     # made on a pool thread would stay in that thread's malloc arena
@@ -151,7 +156,8 @@ def top_eigenpair(c, tol=1e-10):
     parts = parallel.map_in_order(
         lambda lo: _top_pairs(a[lo:lo + size], tol, scratch[lo:lo + size]),
         range(0, len(a), size))
-    return [pair for part in parts for pair in part]
+    pairs = [pair for part in parts for pair in part]
+    return pairs[0] if single else pairs
 
 
 def _top_pairs(a, tol, scratch):
@@ -222,15 +228,12 @@ def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):
     lists. Each matrix keeps its own threshold and stops rotating once its
     own off-diagonal norm passes, so its pairs are bit for bit those it
     gets when solved alone. ConvergenceError carries the largest residual
-    of the matrices that did not converge.
+    of the matrices that did not converge. As in top_eigenpair, a matrix
+    whose 4 ||C||_F^2 overflows raises ValidationError.
     """
     if not tol_factor > 0:
         raise ValueError("tol_factor must be positive")
-    c = np.asarray(c, dtype=np.float64)
-    stacked = c.ndim == 3
-    a = _check_symmetric(c, stacked=stacked)
-    if not stacked:
-        a = a[np.newaxis]
+    a, single = _symmetric_stack(c)
     n = a.shape[-1]
     if n > JACOBI_MAX_N:
         raise ValueError(f"jacobi solver capped at n={JACOBI_MAX_N}, got {n}")
@@ -238,7 +241,7 @@ def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):
     out = []
     for lo in range(0, a.shape[0], chunk):
         out.extend(_jacobi_stack(a[lo:lo + chunk], tol_factor, max_sweeps))
-    return out if stacked else out[0]
+    return out[0] if single else out
 
 
 def _jacobi_stack(a, tol_factor, max_sweeps):
@@ -382,6 +385,7 @@ def top_eigen(covs, config=None, mode=None):
     4 t^2 < inf raises ValidationError naming the slice (and mode, if
     given): for a PSD matrix t bounds ||C||_F, lambda and ||C v||, so below
     that limit no squared norm either solver forms can overflow.
+    Items that are not square matrices of one shape raise ValueError.
     Returns a list with one EigenPair per matrix.
     """
     exact = (config or EigConfig()).method == "exact"
@@ -393,6 +397,8 @@ def top_eigen(covs, config=None, mode=None):
             first = np.asarray(first, dtype=np.float64)
             more = chunks * max(_CHUNK_BYTES // max(first.nbytes, 1), 1) - 1
             stack = np.stack([first, *itertools.islice(it, more)])
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError(f"expected square matrices, got {first.shape}")
             _check_scale(stack, len(out), mode)
             if exact:
                 out += [EigenPair(max(s[0].value, 0.0), s[0].vector)
@@ -403,10 +409,7 @@ def top_eigen(covs, config=None, mode=None):
 
 
 def _check_scale(chunk, start, mode):
-    # chunk holds the covariances of slices start, start + 1, ...; a chunk
-    # of another shape is left to the solvers' own checks
-    if chunk.ndim != 3:
-        return
+    # chunk holds the covariances of slices start, start + 1, ...
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.trace(chunk, axis1=1, axis2=2)
         bad = ~(4.0 * t * t < np.inf)

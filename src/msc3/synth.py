@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, load_json
-from .tensor import Tensor3, check_index_set
+from .metrics import labels_from_clusters
+from .tensor import Tensor3, _mode_axis, check_index_set
 
 # Box-Muller pairs transformed at once: each temporary is 8 bytes a pair
 _BOXMULLER_BLOCK = 1 << 14
@@ -58,7 +59,7 @@ class GroundTruth:
     components: list = field(default_factory=list)
 
     def mode_labels(self, mode):
-        return self.labels[mode - 1]
+        return self.labels[_mode_axis(mode)]
 
 
 def unit_cluster_vector(j, m):
@@ -110,11 +111,8 @@ def generate(spec):
         if not (math.isfinite(comp.gamma) and comp.gamma > 0):
             raise ValidationError(
                 f"component gamma must be finite and positive, got {comp.gamma}")
-        for axis, (j, m) in enumerate(
-            ((comp.j1, m1), (comp.j2, m2), (comp.j3, m3))
-        ):
-            idx = check_index_set(j, m, mode=axis + 1)
-            members[axis].append(idx)
+        for axis, j in enumerate((comp.j1, comp.j2, comp.j3)):
+            members[axis].append(check_index_set(j, spec.dims[axis], axis + 1))
     for axis in range(3):
         flat = [i for idx in members[axis] for i in idx]
         if len(flat) != len(set(flat)):
@@ -139,12 +137,8 @@ def generate(spec):
         block = np.ix_(*ms)
         data[block] += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
 
-    labels = []
-    for axis, m in enumerate(spec.dims):
-        lab = np.full(m, -1, dtype=int)
-        for cidx, idx in enumerate(members[axis]):
-            lab[list(idx)] = cidx
-        labels.append(lab)
+    labels = [labels_from_clusters(sets, m)
+              for sets, m in zip(members, spec.dims)]
     comps = list(zip(members[0], members[1], members[2]))
     truth = GroundTruth(labels=labels, components=comps)
     return Tensor3(data), truth
@@ -152,25 +146,27 @@ def generate(spec):
 
 def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
                    noise_scale=1.0):
-    """Standard benchmark layout: equal-strength components on leading blocks.
+    """The planted layout: rank components on leading diagonal blocks.
 
     Component c occupies indices [c * cluster_size, (c + 1) * cluster_size)
-    in every mode. The default (two strength-gamma components of size 10 in
-    a 50^3 tensor with unit noise) is the sweep workload used throughout the
-    acceptance experiments.
+    in every mode. gamma is one strength for every component or a sequence
+    of one per component. The default (two strength-gamma components of
+    size 10 in a 50^3 tensor with unit noise) is the sweep workload used
+    throughout the acceptance experiments.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if rank < 1:
         raise ValidationError(f"rank must be at least 1, got {rank}")
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
+    if gammas.shape not in ((1,), (rank,)) or not (gammas > 0).all():
+        raise ValueError(f"gamma wants 1 or {rank} positive values, got {gamma}")
     if rank * cluster_size > min(dims):
         raise ValueError(
             f"rank {rank} x cluster size {cluster_size} exceeds min dim {min(dims)}"
         )
     comps = []
-    for c in range(rank):
+    for c, g in enumerate(np.broadcast_to(gammas, rank)):
         block = tuple(range(c * cluster_size, (c + 1) * cluster_size))
-        comps.append(Component(gamma=float(gamma), j1=block, j2=block, j3=block))
+        comps.append(Component(gamma=float(g), j1=block, j2=block, j3=block))
     return SynthSpec(dims=tuple(dims), components=comps, seed=seed,
                      noise_scale=noise_scale)
 

@@ -67,18 +67,14 @@ class Tensor3:
         mode 1 fixes i and returns the m2 x m3 matrix T(i, :, :); mode 2
         returns T(:, j, :); mode 3 returns T(:, :, k). Always a copy.
         """
-        m = self.dims[_mode_axis(mode)]
+        axis = _mode_axis(mode)
+        m = self.dims[axis]
         if not 0 <= index < m:
             raise IndexError(
                 f"mode-{mode} slice index {index} out of range 0..{m - 1}"
             )
-        if mode == 1:
-            out = self.data[index, :, :]
-        elif mode == 2:
-            out = self.data[:, index, :]
-        else:
-            out = self.data[:, :, index]
-        return out.copy()
+        # a basic index gives a view to copy; np.moveaxis and np.take are slower
+        return self.data[(slice(None),) * axis + (index,)].copy()
 
     def subcube(self, j1, j2, j3):
         """Sub-tensor on the index sets (j1, j2, j3), preserving index order."""

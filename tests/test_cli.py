@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msc3 import Tensor3, ari, load_tensor, save_tensor
+from msc3 import DegenerateInputError, Tensor3, ari, cli, load_tensor, save_tensor
 from msc3.cli import AGGREGATE_HEADER, RESULT_HEADER, main
 
 
@@ -558,3 +559,52 @@ def test_cli_numbers_reject_literal_forms(tmp_path, capsys, argv, flag,
     assert rc == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--dims", "6,6", "--gamma", "25"],
+    ["synth", "--dims", "6,6,6,6", "--gamma", "25"],
+    ["synth", "--dims", "6,0,6", "--gamma", "25"],
+    ["synth", "--dims", "6,6,6", "--rank", "2", "--gamma", "25,10,5"],
+    ["synth", "--dims", "6,6,6", "--rank", "2", "--gamma", "25,0"],
+    ["sweep", "--dims", "6,-6,6", "--gamma", "20:20:5"],
+    ["sweep", "--gamma", "20:30:0"],
+    ["sweep", "--gamma", "20:30:-5"],
+    ["sweep", "--gamma", "30:20:5"],
+], ids=["two_dims", "four_dims", "zero_dim", "three_gammas_rank_2",
+        "zero_gamma", "negative_dim", "zero_step", "negative_step",
+        "stop_below_start"])
+def test_bad_dims_gammas_and_gamma_ranges_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_writes_error_rows_for_a_run_that_fails(tmp_path, capsys,
+                                                      monkeypatch):
+    def fail(t, epsilon, config=None):
+        raise DegenerateInputError("no usable signal")
+
+    monkeypatch.setattr(cli, "run_msc_dbscan", fail)
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--gamma", "20:25:5", "--runs", "1", "--dims",
+               "12,12,12", "--cluster-size", "3", "-o", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0] == RESULT_HEADER
+    # 2 gammas x 1 seed x 2 methods x 3 modes
+    assert len(lines) == 1 + 12
+    for line in lines[1:]:
+        gamma, seed, method, mode, a, rmse, wall, status = line.split(",")
+        assert status == "error:DegenerateInputError"
+        assert math.isnan(float(a)) and math.isnan(float(rmse))
+        assert float(wall) >= 0
+    agg = (tmp_path / "s_agg.csv").read_text().splitlines()
+    assert agg[0] == AGGREGATE_HEADER
+    assert [row.split(",")[:2] for row in agg[1:]] == [
+        ["20.0", "msc"], ["20.0", "msc-dbscan"],
+        ["25.0", "msc"], ["25.0", "msc-dbscan"]]
+    for row in agg[1:]:
+        assert all(math.isnan(float(v)) for v in row.split(",")[2:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,3 +196,22 @@ def test_dbscan_closure_property(n, dim, minpts, seed):
     pts = rng.uniform(-1, 1, size=(n, dim))
     radius = float(rng.uniform(0.05, 1.0))
     assert list(dbscan(pts, radius, minpts)) == closure_dbscan(pts, radius, minpts)
+
+
+@pytest.mark.parametrize("radius, minpts", [
+    (math.nan, 2), (0.0, 2), (-1.0, 2), (1.0, math.nan), (1.0, 0),
+])
+def test_dbscan_rejects_parameters_that_are_nan_or_out_of_range(radius, minpts):
+    pts = [[0.0, 0.0], [0.0, 0.1], [5.0, 5.0], [5.0, 5.1]]
+    assert dbscan(pts, 1.0, 2).tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError):
+        dbscan(pts, radius, minpts)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, 1e308])
+def test_derived_radius_rejects_an_epsilon_that_is_not_finite_and_positive(
+        epsilon):
+    # 1e308 is finite, but the bound at m = 50 slices overflows
+    assert math.isfinite(derived_radius(5, 1e300, 50))
+    with pytest.raises(ValueError, match="epsilon"):
+        derived_radius(5, epsilon, 50)

@@ -213,6 +213,40 @@ def test_refine_validates_args():
         refine_cluster((0, 1), d, epsilon=0.0, m=50)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0, 1e308])
+def test_refine_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    # 1e308 is finite, but the bound at m = 50 slices overflows
+    d = np.array([10.0, 10.2, 5.0, 1.0, 1.1])
+    assert refine_cluster((0, 1, 2), d, 0.1, 5).cluster == (0, 1)
+    with pytest.raises(ValueError, match="epsilon"):
+        refine_cluster((0, 1, 2), d, epsilon, 50)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_marginals_must_be_finite_and_nonnegative(bad):
+    d = [10.0, 10.2, 1.0, 1.0, 1.1, 0.9]
+    assert initial_cluster_by_gap(d) == (0, 1)
+    d[2] = bad
+    with pytest.raises(ValueError, match="marginals"):
+        initial_cluster_by_gap(d)
+    with pytest.raises(ValueError, match="marginals"):
+        refine_cluster((0, 1, 2), d, 0.1, 6)
+
+
+def test_marginals_must_be_one_dimensional():
+    d = np.array([[10.0, 10.2], [1.0, 1.1], [0.9, 1.0]])
+    with pytest.raises(ValueError, match="1-d"):
+        initial_cluster_by_gap(d)
+    with pytest.raises(ValueError, match="1-d"):
+        refine_cluster((0, 1), d, 0.1, 6)
+
+
+def test_gap_midpoint_of_huge_marginals_does_not_overflow():
+    # the largest gap is between 1e307 and 1.79e308, whose sum overflows
+    with np.errstate(all="raise"):
+        assert initial_cluster_by_gap([0.0, 1e307, 1.79e308]) == (2,)
+
+
 def test_refine_output_subset_and_bound_property():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -239,6 +273,18 @@ def test_msc_mode_noiseless_rank1_exact_recovery():
         assert res.similarity is not None
         assert res.lambda_max is not None and res.lambda_max > 0
         assert res.strength_ratio is not None and res.strength_ratio > 0
+
+
+def test_msc_mode_singleton_seed_keeps_the_diagnostics():
+    # one planted slice per mode: the gap seeds a singleton, which is
+    # reported empty, with the same diagnostics a refined cluster carries
+    t = rank1_tensor((8, 7, 6), (3,), gamma=6.0)
+    res = msc_mode(t, 1, epsilon=0.001)
+    assert res.cluster == () and not res.converged and res.size == 0
+    assert res.bound == marginal_spread_bound(2, 0.001, 8)
+    assert res.similarity is not None
+    assert res.lambda_max == pytest.approx(36.0)
+    assert res.strength_ratio > 0
 
 
 def test_msc_mode_noiseless_two_components_merge():

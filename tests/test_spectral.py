@@ -614,3 +614,47 @@ def test_top_eigen_rejects_a_trace_whose_square_overflows(method):
             top_eigen(covs, EigConfig(method), mode=3)
         with pytest.raises(ValidationError, match="^matrix 2 "):
             top_eigen(covs, EigConfig(method))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [top_eigenpair, full_eigen_jacobi])
+@pytest.mark.parametrize("c", [[[1.0, 1e155], [1e155, 1.0]],
+                               [[0.0, 1e160], [1e160, 0.0]]])
+def test_solvers_reject_a_matrix_whose_squared_norm_overflows(solve, c):
+    # the Jacobi threshold tol_factor * ||C||_F was inf here, so the
+    # unrotated matrix passed as converged: top eigenvalue 1.0, then 0.0
+    with pytest.raises(ValidationError, match="^matrix 0 .*overflows"):
+        solve(np.array(c))
+    with pytest.raises(ValidationError, match="^matrix 1 .*overflows"):
+        solve(np.stack([np.eye(2), c]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [top_eigenpair, full_eigen_jacobi])
+def test_solvers_take_a_matrix_just_below_the_norm_limit(solve):
+    # 4 ||C||_F^2 = 8 (4.7e153)^2 is about 1.77e308, just under the limit
+    c = np.array([[0.0, 4.7e153], [4.7e153, 0.0]])
+    pair = solve(c)
+    pair = pair if solve is top_eigenpair else pair[0]
+    assert pair.value == pytest.approx(4.7e153, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve", [top_eigenpair, full_eigen_jacobi])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite_entries(solve, bad):
+    c = np.eye(3)
+    c[1, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        solve(c)
+    with pytest.raises(ValidationError, match="^matrix 1 "):
+        solve(np.stack([np.eye(3), c]))
+
+
+@pytest.mark.parametrize("method", ["power", "exact"])
+@pytest.mark.parametrize("items", [
+    [np.ones(2), np.ones(2)], [np.ones((2, 3))], [np.ones((1, 2, 2))],
+    [np.float64(1.0)],
+], ids=["vectors", "non_square", "stacks", "scalar"])
+def test_top_eigen_rejects_items_that_are_not_square_matrices(method, items):
+    with pytest.raises(ValueError, match="square matrices"):
+        top_eigen(items, EigConfig(method))

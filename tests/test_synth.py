@@ -188,6 +188,21 @@ def test_benchmark_spec_validates():
             benchmark_spec(10.0, seed=0, rank=rank)
 
 
+def test_benchmark_spec_takes_one_gamma_per_component():
+    spec = benchmark_spec([40.0, 20.0, 10.0], seed=0, rank=3)
+    assert [c.gamma for c in spec.components] == [40.0, 20.0, 10.0]
+    assert [c.j1 for c in spec.components] == [
+        tuple(range(lo, lo + 10)) for lo in (0, 10, 20)]
+    assert benchmark_spec([25.0], seed=0) == benchmark_spec(25.0, seed=0)
+
+
+@pytest.mark.parametrize("gamma", [[40.0, 20.0, 10.0], [40.0, 0.0], [np.nan],
+                                   [[40.0, 20.0]], []])
+def test_benchmark_spec_rejects_a_wrong_gamma_count_or_value(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        benchmark_spec(gamma, seed=0, rank=2)
+
+
 def test_component_vectors_orthogonal():
     spec = benchmark_spec(50.0, seed=0)
     u1 = unit_cluster_vector(spec.components[0].j2, 50)
@@ -203,6 +218,9 @@ def test_truth_labels_consistent():
         assert list(lab[:10]) == [0] * 10
         assert list(lab[10:20]) == [1] * 10
         assert list(lab[20:]) == [-1] * 30
+    for mode in (0, 4):
+        with pytest.raises(ValueError, match="mode must be 1, 2, or 3"):
+            truth.mode_labels(mode)
 
 
 def test_truth_json_round_trip_and_key_order():

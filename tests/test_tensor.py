@@ -50,6 +50,21 @@ def test_slice_out_of_range_names_mode_and_bound():
         t.slice(1, -1)
 
 
+@pytest.mark.parametrize("mode", [0, 4])
+def test_slice_rejects_a_mode_other_than_1_2_3(mode):
+    t = Tensor3(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match=f"mode must be 1, 2, or 3, got {mode}"):
+        t.slice(mode, 0)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 2), "3-d"), ((2, 2, 2, 2), "3-d"), ((2, 0, 2), "positive"),
+])
+def test_tensor_rejects_a_shape_that_is_not_3_positive_dims(shape, message):
+    with pytest.raises(ValueError, match=message):
+        Tensor3(np.zeros(shape))
+
+
 def test_slice_is_a_copy():
     t = Tensor3(np.arange(8, dtype=float).reshape(2, 2, 2))
     s = t.slice(1, 0)
@@ -158,6 +173,13 @@ def test_t3b_zero_dim(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_tensor(path)
     assert exc.value.offset == 4
+
+
+def test_csv_zero_dim(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_text("2,0,2\n")
+    with pytest.raises(FormatError, match="non-positive dims"):
+        load_tensor(path, fmt="csv")
 
 
 def test_t3b_truncated_header(tmp_path):
