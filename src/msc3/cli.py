@@ -25,7 +25,6 @@ from .errors import (
     ValidationError,
 )
 from .metrics import ari, labels_from_clusters, rmse_subcube, weighted_mean_rmse
-from .parallel import set_solver_threads
 from .pipeline import (
     METHODS,
     clusters_from_json,
@@ -206,10 +205,8 @@ def cmd_sweep(args):
         for s in seeds
     ]
     if args.jobs > 1:
-        # one solver thread a job, so N jobs never start N x cores threads
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=set_solver_threads,
-                                 initargs=(1,)) as pool:
+        # each job's runs hold BLAS at one thread, so N jobs use N threads
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             cells = list(pool.map(_sweep_one, tasks))
     else:
         cells = map(_sweep_one, tasks)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NoGapError
 from .spectral import covariance, mirror_upper, top_eigen
+from .tensor import _mode_axis
 
 EQUAL_TOL = 1e-12
 
@@ -101,7 +102,7 @@ def slice_spectra(t, mode, config=None):
     Raises DegenerateInputError when all slices are zero (nothing to
     normalize against).
     """
-    m = t.dims[mode - 1]
+    m = t.dims[_mode_axis(mode)]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
     pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), config,
@@ -157,13 +158,16 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     smallest d is removed and the test repeats. Removal-only, so the loop
     runs at most |j0| - 1 times. If the size drops below 2 the result is an
     empty, non-converged cluster. epsilon and d are checked as in msc_mode
-    and initial_cluster_by_gap.
+    and initial_cluster_by_gap, and a seed index outside d raises
+    ValueError.
     """
     _check_epsilon(epsilon, m)
     d = _check_marginals(d)
     members = sorted(int(i) for i in j0)
     if len(members) < 2:
         raise ValueError(f"seed cluster must have at least 2 members, got {len(members)}")
+    if members[0] < 0 or members[-1] >= d.size:
+        raise ValueError(f"seed cluster indices must lie in 0..{d.size - 1}")
     while len(members) >= 2:
         bound = marginal_spread_bound(len(members), epsilon, m)
         if np.diff(np.sort(d[members])).max() <= bound:
@@ -185,7 +189,7 @@ def msc_mode(t, mode, epsilon, config=None):
     epsilon that is not finite and positive, or so large that the spread
     bound at the full size m overflows.
     """
-    m = t.dims[mode - 1]
+    m = t.dims[_mode_axis(mode)]
     _check_epsilon(epsilon, m)
     spectra = slice_spectra(t, mode, config)
     sim = similarity_matrix(spectra)

@@ -5,7 +5,7 @@ clusters within each mode are ordered by descending mean marginal and matched
 by position, truncating to the smallest per-mode count. The pairing rule is
 recorded on the result so downstream consumers can see how triples were
 formed. Each run holds numpy's OpenBLAS at one thread from start to end
-(parallel.blas_held), so its output does not depend on the core count.
+(blas.blas_held), so its output does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .dbscan import split_cluster
 from .errors import DegenerateInputError, NoGapError, load_json
 from .msc import MscResult, msc_mode
-from .parallel import blas_held
+from .blas import blas_held
 
 PAIRING_RULE = "rank-by-mean-marginal"
 

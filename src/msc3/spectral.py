@@ -5,23 +5,19 @@ Two independent routes to the top eigenpair are kept on purpose: LAPACK
 full-spectrum solver (the exact path, also the independent eigen oracle in
 the tests). They share no code beyond numpy primitives.
 
-The LAPACK route solves a stack of matrices with one batched eigvalsh call
-for the top eigenvalues and two batched steps of shifted inverse iteration
-for their vectors (Golub and Van Loan, Matrix Computations, 8.2.2). A
-matrix that this does not solve to the residual test goes to a full eigh
-of that matrix alone.
+The LAPACK route solves each matrix of a stack for its top pair only, with
+one dsyevr call on the calling thread (blas.top_pairs). A matrix that this
+does not solve to the residual test goes to a full eigh of that matrix
+alone, as does every matrix where numpy's BLAS has no dsyevr to call.
 
 The Jacobi solver uses the round-robin ("circle") parallel ordering of
 Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
-top_eigen alone decides how a mode's covariances meet a solver. The
-LAPACK route takes them in stacks of about 1 MiB per solver thread, one
-thread per core, and top_eigenpair gives each thread one part of a stack
-(parallel.py);
-the Jacobi route takes stacks of about 1 MiB and solves them on the calling
-thread, whose time goes to many small numpy calls.
+top_eigen alone decides how a mode's covariances meet a solver: both
+routes take them in stacks of about 1 MiB and solve them on the calling
+thread, with numpy's OpenBLAS held at one thread (blas.blas_held).
 """
 
 from __future__ import annotations
@@ -32,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
+from . import blas
 from .errors import ConvergenceError, ValidationError
 
 JACOBI_MAX_N = 512
 # working-array budget of one stacked Jacobi solve; a stack is solved in
 # chunks of matrices whose working arrays (about 80 n^2 bytes each) fit it
 _JACOBI_CHUNK_BYTES = 32 << 20
-# covariances that one solver thread, or one Jacobi call, takes at once
+# covariances that one top_eigenpair or full_eigen_jacobi call takes at once
 _CHUNK_BYTES = 1 << 20
 
 
@@ -126,79 +122,35 @@ def _fix_sign(v):
     return v
 
 
+@blas.blas_held()
 def top_eigenpair(c, tol=1e-10):
     """Dominant eigenpair of a symmetric PSD matrix, or of each of a stack.
 
     A 2-d matrix returns one EigenPair; a (k, n, n) stack returns a list of
-    k, each bit for bit what its matrix gets alone. lambda comes from one
-    batched eigvalsh call and v from two steps of inverse iteration on
-    C - (lambda + delta) I, delta = 8 n eps |lambda| (Golub and Van Loan,
-    Matrix Computations, 8.2.2), from a fixed start vector. The pair is
-    kept when ||C v - lambda v|| <= tol * |lambda|. Any other matrix
-    (lambda = 0, a singular shifted solve, a missed residual) is solved
-    alone by numpy.linalg.eigh, whose largest pair must meet
-    ||C v - lambda v|| <= tol * max(lambda, 1), or ConvergenceError (with
-    the residual) is raised. Each eigenvalue is clamped at 0 and each
-    vector has its largest-magnitude entry nonnegative. A matrix not finite
-    and symmetric, or with 4 ||C||_F^2 = inf, raises ValidationError.
-
-    A stack is solved in equal parts, one per solver thread
-    (parallel.map_in_order); the pairs come back in stack order, and the
-    first part in order that raised re-raises here.
+    k, each bit for bit what its matrix gets alone. Each pair comes from
+    one LAPACK dsyevr call for the top pair only (blas.top_pairs), on the
+    calling thread with numpy's OpenBLAS held at one thread. The pair is
+    kept when dsyevr returns one, lambda != 0 and
+    ||C v - lambda v|| <= tol * |lambda|. Any other matrix (lambda = 0, a
+    failed call, a missed residual, or every matrix where numpy's BLAS has
+    no dsyevr) is solved alone by numpy.linalg.eigh, whose largest pair
+    must meet ||C v - lambda v|| <= tol * max(lambda, 1), or
+    ConvergenceError (with the residual) is raised. Each eigenvalue is
+    clamped at 0 and each vector has its largest-magnitude entry
+    nonnegative. A matrix not finite and symmetric, or with
+    4 ||C||_F^2 = inf, raises ValidationError.
     """
     a, single = _symmetric_stack(c)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    size = max(-(-len(a) // parallel.solver_threads()), 1)
-    # the threads shift copies in this buffer: a chunk-sized allocation
-    # made on a pool thread would stay in that thread's malloc arena
-    scratch = np.empty_like(a)
-    parts = parallel.map_in_order(
-        lambda lo: _top_pairs(a[lo:lo + size], tol, scratch[lo:lo + size]),
-        range(0, len(a), size))
-    pairs = [pair for part in parts for pair in part]
-    return pairs[0] if single else pairs
-
-
-def _top_pairs(a, tol, scratch):
-    # inverse iteration where it meets the residual test, _eigh_top for the
-    # rest; rows of v stay NaN for the matrices it does not solve. scratch
-    # is a buffer of a's shape for the shifted copies.
-    k, n, _ = a.shape
-    lam = np.linalg.eigvalsh(a)[:, -1]
-    v = np.full((k, n), np.nan)
-    live = lam != 0
+    lam, v, ok = blas.top_pairs(a)
     with np.errstate(all="ignore"):
-        try:
-            b = np.compress(live, a, axis=0, out=scratch[:live.sum()])
-            v[live] = _inverse_iteration(b, lam[live])
-        except np.linalg.LinAlgError:
-            # one singular shifted matrix fails the whole batched solve;
-            # alone, the others get the same bits and it goes to eigh
-            if k > 1:
-                return [p for i in range(k) for p in
-                        _top_pairs(a[i:i + 1], tol, scratch[i:i + 1])]
         res = np.linalg.norm((a @ v[..., np.newaxis])[..., 0]
                              - lam[:, np.newaxis] * v, axis=1)
-    ok = res <= tol * np.abs(lam)
-    return [EigenPair(max(float(lam[i]), 0.0), _fix_sign(v[i])) if ok[i]
-            else _eigh_top(a[i], tol) for i in range(k)]
-
-
-def _inverse_iteration(b, lam):
-    # two steps on each b - (lam + delta) I, shifting b in place; the top
-    # eigenvector's share of the start vector grows by about gap / delta a step
-    k, n, _ = b.shape
-    d = np.arange(n)
-    shift = lam + 8 * n * np.finfo(float).eps * np.abs(lam)
-    b[:, d, d] -= shift[:, np.newaxis]
-    # a golden-ratio sequence: no structure a covariance is likely to share
-    x = 0.5 + np.arange(1, n + 1) * 0.6180339887498949 % 1.0
-    x = np.broadcast_to(x[:, np.newaxis], (k, n, 1))
-    for _ in range(2):
-        x = np.linalg.solve(b, x)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x[..., 0]
+    ok &= (lam != 0) & (res <= tol * np.abs(lam))
+    pairs = [EigenPair(max(float(lam[i]), 0.0), _fix_sign(v[i])) if ok[i]
+             else _eigh_top(a[i], tol) for i in range(len(a))]
+    return pairs[0] if single else pairs
 
 
 def _eigh_top(c, tol):
@@ -374,13 +326,12 @@ def top_eigen(covs, config=None, mode=None):
     """Top eigenpair of each matrix in covs via the configured method.
 
     This is the one place that decides how a mode's covariances are solved.
-    'power' pulls them from the iterable in stacks of about _CHUNK_BYTES of
-    matrices per solver thread and solves each stack with one top_eigenpair
-    call, which gives each thread one part; 'exact' pulls stacks of
-    about _CHUNK_BYTES and solves each with one full_eigen_jacobi call on
-    the calling thread, clamping each top eigenvalue at 0. So at most one
-    chunk per solver thread is alive at once. numpy's OpenBLAS is held at
-    one thread throughout (parallel.blas_held).
+    Both routes pull them from the iterable in stacks of about _CHUNK_BYTES
+    and solve each stack on the calling thread before the next is pulled,
+    so one stack is alive at once: 'power' with one top_eigenpair call,
+    'exact' with one full_eigen_jacobi call, clamping each top eigenvalue
+    at 0. numpy's OpenBLAS is held at one thread throughout
+    (blas.blas_held).
     Before either solves a stack, a covariance whose trace t fails
     4 t^2 < inf raises ValidationError naming the slice (and mode, if
     given): for a PSD matrix t bounds ||C||_F, lambda and ||C v||, so below
@@ -389,13 +340,12 @@ def top_eigen(covs, config=None, mode=None):
     Returns a list with one EigenPair per matrix.
     """
     exact = (config or EigConfig()).method == "exact"
-    chunks = 1 if exact else parallel.solver_threads()
     out = []
     it = iter(covs)
-    with parallel.blas_held():
+    with blas.blas_held():
         for first in it:
             first = np.asarray(first, dtype=np.float64)
-            more = chunks * max(_CHUNK_BYTES // max(first.nbytes, 1), 1) - 1
+            more = max(_CHUNK_BYTES // max(first.nbytes, 1), 1) - 1
             stack = np.stack([first, *itertools.islice(it, more)])
             if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
                 raise ValueError(f"expected square matrices, got {first.shape}")

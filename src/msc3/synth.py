@@ -156,6 +156,8 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     """
     if rank < 1:
         raise ValidationError(f"rank must be at least 1, got {rank}")
+    if cluster_size < 1:
+        raise ValueError(f"cluster size must be at least 1, got {cluster_size}")
     gammas = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     if gammas.shape not in ((1,), (rank,)) or not (gammas > 0).all():
         raise ValueError(f"gamma wants 1 or {rank} positive values, got {gamma}")

@@ -5,23 +5,30 @@ eigen solvers and top_eigen get NaN, inf, huge, tiny and wrong-shape inputs
 of the right type. Each must return finite output or raise ValueError or an
 Msc3Error; it must never raise another exception or emit a warning (warnings
 are turned into errors here, so a RuntimeWarning fails the example).
+Out-of-range indices, modes and sizes given to refine_cluster, msc_mode,
+slice_spectra and benchmark_spec raise ValueError too.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from msc3 import (
     EigConfig,
     Msc3Error,
+    Tensor3,
+    benchmark_spec,
     dbscan,
     derived_radius,
     full_eigen_jacobi,
     initial_cluster_by_gap,
+    msc_mode,
     refine_cluster,
+    slice_spectra,
     top_eigen,
     top_eigenpair,
 )
@@ -163,3 +170,23 @@ def test_refine_cluster_is_finite_or_rejects(data, d, epsilon):
         assert math.isfinite(res.bound)
         assert set(res.cluster) <= set(seed)
         assert res.size == len(res.cluster)
+
+
+_D = np.array([5.0, 0.0, 0.1, 5.05])
+_T = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: refine_cluster((-1, 0), _D, 0.1, 4),  # -1 would read d[3]
+    lambda: refine_cluster((0, 7), _D, 0.1, 4),
+    lambda: msc_mode(_T, 4, 0.1),
+    lambda: msc_mode(_T, 0, 0.1),  # 0 would read the mode-3 size
+    lambda: slice_spectra(_T, 4),
+    lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=0, rank=1000),
+    lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=-2, rank=1),
+], ids=["refine-negative", "refine-past-end", "msc-mode-4", "msc-mode-0",
+        "spectra-mode-4", "spec-size-0", "spec-size-negative"])
+def test_out_of_range_argument_raises_value_error(call):
+    with warnings.catch_warnings(), pytest.raises(ValueError):
+        warnings.simplefilter("error")
+        call()

@@ -1,9 +1,9 @@
-"""The solver pool across threads and processes, and output across BLAS
-thread counts.
+"""numpy's OpenBLAS held at one thread across threads and processes, and
+output across BLAS thread counts.
 
 The process checks run in a fresh interpreter, so that the thread count
-numpy's OpenBLAS starts with, and the pool a forked child inherits, are the
-ones under test rather than whatever the test session left behind.
+numpy's OpenBLAS starts with is the one under test rather than whatever the
+test session left behind.
 """
 
 import os
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from msc3 import benchmark_spec, generate, parallel, save_tensor
+from msc3 import benchmark_spec, blas, generate, save_tensor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -40,7 +40,7 @@ def _python(code, timeout, **env):
 
 
 needs_control = pytest.mark.skipif(
-    parallel._blas_control() is None,
+    blas._blas_control() is None,
     reason="numpy's BLAS exposes no thread control")
 
 
@@ -67,14 +67,14 @@ def test_blas_hold_is_shared_by_threads():
     # more threads than cores entering and leaving the hold with a short
     # switch interval: the count is 1 inside every scope, and the last one
     # out restores it
-    get, set_ = parallel._blas_control()
+    get, set_ = blas._blas_control()
     before = get()
     set_(2)
     wrong = []
 
     def hold():
         for _ in range(200):
-            with parallel.blas_held():
+            with blas.blas_held():
                 if get() != 1:
                     wrong.append(get())
 
@@ -100,8 +100,8 @@ def _strip_wall(text):
 
 @needs_control
 def test_sweep_jobs_after_an_in_process_run_forks_a_fresh_pool(tmp_path):
-    # the cluster run starts the pool; sweep --jobs 2 then forks children
-    # that must not wait on the parent's threads, which they do not have
+    # sweep --jobs 2 forks its workers after a cluster run in the same
+    # process, which held BLAS and restored it
     tensor = str(tmp_path / "t.t3b")
     save_tensor(generate(benchmark_spec(30.0, 0, dims=(12, 12, 12),
                                         cluster_size=3))[0], tensor)
@@ -109,12 +109,9 @@ def test_sweep_jobs_after_an_in_process_run_forks_a_fresh_pool(tmp_path):
              "12,12,12", "--cluster-size", "3", "--rank", "2"]
     code = f"""
         import contextlib, io, sys
-        from msc3 import parallel
         from msc3.cli import main
-        parallel.set_solver_threads(2)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["cluster", {tensor!r}]) == 0
-            assert parallel._pool is not None
             for jobs in ("1", "2"):
                 out = {str(tmp_path)!r} + f"/s{{jobs}}.csv"
                 assert main([*{sweep!r}, "--jobs", jobs, "-o", out]) == 0
@@ -127,48 +124,22 @@ def test_sweep_jobs_after_an_in_process_run_forks_a_fresh_pool(tmp_path):
 
 
 @needs_control
-def test_forked_child_starts_its_own_pool():
-    code = """
-        import os, sys, time
-        import numpy as np
-        from msc3 import parallel, top_eigenpair
-
-        parallel.set_solver_threads(2)
-        stack = np.stack([np.eye(4) * (i + 1) for i in range(6)])
-        want = [p.value for p in top_eigenpair(stack)]
-        assert parallel._pool is not None
-        time.sleep(0.2)  # the threads go idle, as between two runs
-        pid = os.fork()
-        if pid == 0:
-            ok = [p.value for p in top_eigenpair(stack)] == want
-            os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                sys.exit(os.waitstatus_to_exitcode(status))
-            time.sleep(0.05)
-        os.kill(pid, 9)
-        sys.exit("the child hung on the parent's pool")
-    """
-    proc = _python(code, 120)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_sweep_jobs_run_one_solver_thread_each(tmp_path):
     out = str(tmp_path / "s.csv")
     code = f"""
-        import sys
+        import sys, threading
         import msc3.cli
-        from msc3 import parallel
+        from msc3 import blas
 
-        sweep_one = msc3.cli._sweep_one
+        top_pairs = blas.top_pairs
 
-        def checked(task):
-            assert parallel.solver_threads() == 1
-            return sweep_one(task)
+        def checked(a):
+            # each job solves on its one Python thread, BLAS held at one
+            assert threading.active_count() == 1
+            assert blas._blas_control()[0]() == 1
+            return top_pairs(a)
 
-        msc3.cli._sweep_one = checked
+        blas.top_pairs = checked
         sys.exit(msc3.cli.main(["sweep", "--gamma", "20:25:5", "--runs", "1",
                                 "--dims", "12,12,12", "--cluster-size", "3",
                                 "--jobs", "2", "-o", {out!r}]))

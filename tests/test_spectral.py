@@ -1,5 +1,4 @@
 import itertools
-import time
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from msc3 import (
     top_eigen,
     top_eigenpair,
 )
-from msc3 import parallel, spectral
+from msc3 import blas, spectral
 from msc3.cli import main
 from msc3.spectral import _round_robin
 
@@ -333,33 +332,14 @@ def _covs(n):
     return mats[:2] + [np.zeros((n, n))] + mats[2:]
 
 
-@pytest.fixture
-def solver_threads():
-    """Sets the pool's thread count for one test; one per core again after."""
-    def use(n):
-        if n > 1 and parallel._blas_control() is None:
-            pytest.skip("numpy's BLAS exposes no thread control")
-        parallel.set_solver_threads(n)
-    yield use
-    parallel.set_solver_threads(None)
-
-
 @pytest.mark.parametrize("n", [1, 6])
-def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
-                                                 solver_threads):
-    # each stack is solved before the next one is pulled, so at most one
-    # chunk per solver thread is alive at once: the power route pulls a
-    # chunk per thread, the exact route one chunk; the budget here holds 2
-    # matrices
+def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
+    # each stack is solved before the next one is pulled, so one chunk is
+    # alive at once on either route; the budget here holds 2 matrices
     mats = _covs(n)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * n * n)
-    cases = [(1, "power", "top_eigenpair", [(2, 2), (4, 2), (5, 1)]),
-             (1, "exact", "full_eigen_jacobi", [(2, 2), (4, 2), (5, 1)])]
-    if parallel._blas_control() is not None:
-        cases += [(2, "power", "top_eigenpair", [(4, 4), (5, 1)]),
-                  (2, "exact", "full_eigen_jacobi", [(2, 2), (4, 2), (5, 1)])]
-    for threads, method, name, stacks in cases:
-        solver_threads(threads)
+    for method, name in (("power", "top_eigenpair"),
+                         ("exact", "full_eigen_jacobi")):
         pulled, seen = [], []
         solve = getattr(spectral, name)
 
@@ -375,7 +355,7 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
         monkeypatch.setattr(spectral, name, traced)
         got = top_eigen(one_shot(), EigConfig(method=method))
         monkeypatch.setattr(spectral, name, solve)
-        assert seen == stacks
+        assert seen == [(2, 2), (4, 2), (5, 1)]
         want = [solve(c) for c in mats]
         if method == "exact":
             want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
@@ -384,8 +364,8 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
 
 
 def _mode_of_covs(n=6, count=23):
-    # random covariances with a zero one and one whose shifted solve is
-    # singular, so that a part falls back to eigh matrix by matrix
+    # random covariances with a zero one, which goes to eigh, and a diagonal
+    # one whose top entry is the smallest subnormal
     mats = [random_psd(n, seed=400 + i) for i in range(count)]
     mats[5] = np.zeros((n, n))
     mats[17] = np.diag([0.0, 5e-324] + [0.0] * (n - 2))
@@ -394,24 +374,22 @@ def _mode_of_covs(n=6, count=23):
 
 @pytest.mark.parametrize("method", ["power", "exact"])
 def test_top_eigen_on_the_pool_matches_one_thread_bit_for_bit(
-        method, monkeypatch, solver_threads):
-    # 23 matrices in chunks of 3: several stacks per mode, parts of unequal
-    # length, and the last stack short
+        method, monkeypatch):
+    # 23 matrices in chunks of 3: several stacks per mode, and the last
+    # stack short; each matrix gets the bits it gets solved alone
     mats = _mode_of_covs()
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
-    solver_threads(1)
-    one = top_eigen(iter(mats), EigConfig(method))
-    for threads in (2, 3):
-        solver_threads(threads)
-        assert _same_pairs(top_eigen(iter(mats), EigConfig(method)), one)
+    got = top_eigen(iter(mats), EigConfig(method))
     if method == "power":
-        assert _same_pairs(one, [top_eigenpair(c) for c in mats])
+        want = [top_eigenpair(c) for c in mats]
+    else:
+        want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
+                for s in (full_eigen_jacobi(c) for c in mats)]
+    assert _same_pairs(got, want)
 
 
-def test_top_eigenpair_parts_of_a_stack_match_solo_solves(solver_threads):
-    # 23 matrices in parts of 8, 8 and 7
+def test_top_eigenpair_parts_of_a_stack_match_solo_solves():
     mats = _mode_of_covs()
-    solver_threads(3)
     solo = [top_eigenpair(c) for c in mats]
     assert _same_pairs(top_eigenpair(np.stack(mats)), solo)
     assert top_eigenpair(np.zeros((0, 6, 6))) == []
@@ -419,25 +397,20 @@ def test_top_eigenpair_parts_of_a_stack_match_solo_solves(solver_threads):
 
 @pytest.mark.parametrize("method", ["power", "exact"])
 def test_top_eigen_huge_slice_in_a_late_chunk_names_it_on_the_pool(
-        method, monkeypatch, solver_threads):
+        method, monkeypatch):
     mats = _mode_of_covs()
     mats[20] = np.diag([6.8e153] + [0.0] * 5)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
-    messages = []
-    for threads in (1, 3):
-        solver_threads(threads)
-        with pytest.raises(ValidationError) as err:
-            top_eigen(iter(mats), EigConfig(method), mode=2)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("mode-2 slice 20 is too large")
+    with pytest.raises(ValidationError) as err:
+        top_eigen(iter(mats), EigConfig(method), mode=2)
+    assert str(err.value).startswith("mode-2 slice 20 is too large")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("per_chunk", [1, 2])
 def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
-        threads, tmp_path, capsys, monkeypatch, solver_threads):
-    solver_threads(threads)
-    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 12 * 12)
+        per_chunk, tmp_path, capsys, monkeypatch):
+    # slice 10 is the first matrix of chunk 10 or of chunk 5
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", per_chunk * 8 * 12 * 12)
     data = np.random.default_rng(0).standard_normal((12, 12, 12))
     data[10, 3, 4] = 1e160
     path = str(tmp_path / "h.t3b")
@@ -447,29 +420,10 @@ def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
         "error: mode-1 slice 10 is too large")
 
 
-def test_a_failing_part_reraises_after_every_part_is_done(solver_threads):
-    # the first part in order that raised re-raises, after every part is
-    # done; more parts than threads queue on the pool
-    solver_threads(3)
-    done = []
-
-    def part(i):
-        time.sleep(0.01 * (4 - i))
-        done.append(i)
-        if i in (1, 2):
-            raise ValueError(f"part {i}")
-        return i
-
-    with pytest.raises(ValueError, match="part 1"):
-        parallel.map_in_order(part, range(4))
-    assert sorted(done) == [0, 1, 2, 3]
-    assert parallel.map_in_order(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
-
-
 @pytest.fixture
 def blas_sets(monkeypatch):
     """Records each change of numpy's OpenBLAS thread count; starts at 2."""
-    control = parallel._blas_control()
+    control = blas._blas_control()
     if control is None:
         pytest.skip("numpy's BLAS exposes no thread control")
     get, set_ = control
@@ -481,7 +435,7 @@ def blas_sets(monkeypatch):
         sets.append(n)
         set_(n)
 
-    monkeypatch.setattr(parallel, "_blas_control", lambda: (get, counted))
+    monkeypatch.setattr(blas, "_blas_control", lambda: (get, counted))
     yield get, sets
     set_(before)
 
@@ -503,8 +457,8 @@ def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
     # once per run: the count changes to 1 and back, not per mode or stack
     assert sets == [1, 2] and get() == 2
     assert len(seen) > 3 and set(seen) == {1}
-    with parallel.blas_held():
-        with parallel.blas_held():
+    with blas.blas_held():
+        with blas.blas_held():
             assert get() == 1
         assert get() == 1
     assert get() == 2
@@ -517,10 +471,9 @@ def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
 
 
 def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
-    # only the matrices inverse iteration cannot take go to eigh, each on
-    # its own: the zero matrix (lambda = 0) and a diagonal one whose top
-    # entry is the smallest subnormal, where the shift's delta underflows
-    # to 0 and the shifted solve is exactly singular
+    # only the zero matrix (lambda = 0) goes to eigh, on its own; dsyevr
+    # solves the rest, a diagonal one whose top entry is the smallest
+    # subnormal among them
     n = 5
     mats = [random_psd(n, seed=300), np.zeros((n, n)),
             np.diag([0.0, 5e-324, 0.0, 0.0, 0.0]), np.eye(n),
@@ -535,7 +488,7 @@ def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
 
     monkeypatch.setattr(spectral, "_eigh_top", counted)
     got = top_eigenpair(np.stack(mats))
-    assert sorted(set(fell)) == [1, 2]
+    assert fell == [1]
     for i, (pair, c) in enumerate(zip(got, mats)):
         want = eigh_top(c, 1e-10)
         if i in fell:
@@ -550,8 +503,16 @@ def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
             assert pair.vector == pytest.approx(want.vector, abs=1e-12)
 
 
+def test_top_eigen_without_dsyevr_gives_the_eigh_pairs(monkeypatch):
+    # where numpy's BLAS has no LAPACKE_dsyevr, every matrix goes to eigh
+    mats = _mode_of_covs()
+    want = [spectral._eigh_top(c, 1e-10) for c in mats]
+    monkeypatch.setattr(blas, "_dsyevr", lambda: None)
+    assert _same_pairs(top_eigen(iter(mats)), want)
+
+
 def test_top_eigenpair_one_by_one_matrices():
-    # the shifted solve of a 1 x 1 matrix is a division; 0 goes to eigh
+    # dsyevr returns a 1 x 1 matrix's entry; 0 goes to eigh
     mats = np.array([[[4.0]], [[0.0]], [[2.5e-7]], [[-3.0]]])
     got = top_eigenpair(mats)
     assert [p.value for p in got] == [4.0, 0.0, 2.5e-7, 0.0]
