@@ -42,7 +42,7 @@ from .pipeline import (
     run_msc_iterated,
 )
 from .spectral import (
-    EigConfig,
+    EIG_ROUTES,
     EigenPair,
     covariance,
     full_eigen_jacobi,
@@ -68,7 +68,7 @@ __all__ = [
     "ConvergenceError",
     "Component",
     "DegenerateInputError",
-    "EigConfig",
+    "EIG_ROUTES",
     "EigenPair",
     "FormatError",
     "GroundTruth",

@@ -1,9 +1,9 @@
 """Command-line surface: synth, cluster, eval, and sweep subcommands.
 
 Exit codes: 0 success, 1 I/O problem (missing or malformed file), 2 usage or
-validation problem, 3 degenerate data (no usable signal or no detectable
-cluster structure). All randomness flows from --seed (default 0); nothing is
-seeded from the clock.
+validation problem or a failed allocation, 3 degenerate data (no usable
+signal or no detectable cluster structure). All randomness flows from --seed
+(default 0); nothing is seeded from the clock.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .pipeline import (
     modes_from_msc,
     run_msc_dbscan,
 )
-from .spectral import EigConfig
+from .spectral import EIG_ROUTES
 from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
 from .tensor import _mode_axis, integer, load_tensor, number, save_tensor
 
@@ -67,6 +67,8 @@ def _parse_gamma_range(text):
     v = start
     while v <= stop + 1e-9:
         out.append(round(v, 10))
+        if v + step == v:
+            raise ValueError(f"gamma step {step!r} does not change {v!r}")
         v += step
     return out
 
@@ -92,7 +94,7 @@ def cmd_synth(args):
 def cmd_cluster(args):
     t = load_tensor(args.input, fmt=args.format)
     run = METHODS[args.method]
-    modes, triset = run(t, args.epsilon, EigConfig(method=args.eig))
+    modes, triset = run(t, args.epsilon, args.eig)
     text = clusters_to_json(args.epsilon, args.method, modes, triset)
     if args.out:
         with open(args.out, "w") as fh:
@@ -158,7 +160,7 @@ def _sweep_one(task):
     t, truth = generate(spec)
     rows = []
     try:
-        modes, triset = run_msc_dbscan(t, epsilon, EigConfig(method=eig))
+        modes, triset = run_msc_dbscan(t, epsilon, eig)
     except (DegenerateInputError, ConvergenceError) as e:
         wall = (time.perf_counter() - t0) * 1000.0
         for method in SWEEP_METHODS:
@@ -169,7 +171,7 @@ def _sweep_one(task):
 
     # the single-stage method's output is the per-mode cluster the second
     # stage started from, so one pipeline run serves both methods
-    runs = (modes_from_msc([mc.msc for mc in modes], tensor=t), (modes, triset))
+    runs = (modes_from_msc([mc.msc for mc in modes], t), (modes, triset))
     wall = (time.perf_counter() - t0) * 1000.0
 
     for method, (mmodes, mtriset) in zip(SWEEP_METHODS, runs):
@@ -270,7 +272,7 @@ def build_parser():
     p.add_argument("input", help="tensor path")
     p.add_argument("--method", choices=METHODS, default=MSC_DBSCAN)
     p.add_argument("--epsilon", type=number, default=0.001)
-    p.add_argument("--eig", choices=("power", "exact"), default="power")
+    p.add_argument("--eig", choices=EIG_ROUTES, default="power")
     p.add_argument("--format", choices=("t3b", "csv"), default="t3b")
     p.add_argument("-o", "--out", help="clusters JSON path (default: stdout)")
     p.set_defaults(func=cmd_cluster)
@@ -288,7 +290,7 @@ def build_parser():
     p.add_argument("--runs", type=integer, default=10, help="seeds per gamma")
     p.add_argument("--epsilon", type=number, default=0.001)
     p.add_argument("--seed", type=integer, default=0, help="base seed")
-    p.add_argument("--eig", choices=("power", "exact"), default="power")
+    p.add_argument("--eig", choices=EIG_ROUTES, default="power")
     p.add_argument("--dims", default="50,50,50")
     p.add_argument("--cluster-size", type=integer, default=10)
     p.add_argument("--rank", type=integer, default=2)
@@ -312,8 +314,8 @@ def main(argv=None):
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValidationError, ValueError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValidationError, ValueError, IndexError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DegenerateInputError, NoGapError, ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)

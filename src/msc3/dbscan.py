@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .msc import _check_epsilon, marginal_spread_bound
+from .msc import _check_epsilon, _check_members, marginal_spread_bound
 
 NOISE = -1
 UNVISITED = -2
@@ -167,12 +167,11 @@ def split_cluster(sim, j, epsilon):
     similarity matrix (length m, not restricted to j), and the members are
     clustered with the derived radius and minpts = 2. Non-noise clusters
     come back as sorted index tuples ordered by descending mean marginal;
-    noise members are reported separately.
+    noise members are reported separately. j must be 2 or more distinct
+    indices in 0..m - 1, or ValueError is raised.
     """
-    members = sorted(int(i) for i in j)
-    if len(members) < 2:
-        raise ValueError(f"need at least 2 members to split, got {len(members)}")
     m = sim.c.shape[0]
+    members = _check_members(j, m)
     radius = derived_radius(len(members), epsilon, m)
     points = sim.c[:, members].T
     labels = dbscan(points, radius, minpts=2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateInputError, NoGapError
-from .spectral import covariance, mirror_upper, top_eigen
+from .spectral import covariance, top_eigen
 from .tensor import _mode_axis
 
 EQUAL_TOL = 1e-12
@@ -96,8 +96,8 @@ def _check_marginals(d):
     return d
 
 
-def slice_spectra(t, mode, config=None):
-    """Top eigenpair of every slice covariance along one mode.
+def slice_spectra(t, mode, eig="power"):
+    """Top eigenpair of every slice covariance along one mode, by route eig.
 
     Raises DegenerateInputError when all slices are zero (nothing to
     normalize against).
@@ -105,7 +105,7 @@ def slice_spectra(t, mode, config=None):
     m = t.dims[_mode_axis(mode)]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), config,
+    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), eig,
                       mode=mode)
     lams = np.array([pair.value for pair in pairs])
     vecs = [pair.vector for pair in pairs]
@@ -120,8 +120,8 @@ def slice_spectra(t, mode, config=None):
 
 
 def similarity_matrix(spectra):
-    """C = |V^T V| (exactly symmetric) and its row sums d."""
-    c = np.abs(mirror_upper(spectra.v_matrix.T @ spectra.v_matrix))
+    """C = |V^T V| (exactly symmetric, as in covariance) and its row sums d."""
+    c = np.abs(spectra.v_matrix.T @ spectra.v_matrix)
     d = c.sum(axis=1)
     return SimilarityMatrix(c=c, d=d)
 
@@ -149,6 +149,17 @@ def initial_cluster_by_gap(d):
     return tuple(int(i) for i in np.flatnonzero(d > mid))
 
 
+def _check_members(j, m):
+    # a cluster is 2 or more distinct slice indices in 0..m - 1; returns
+    # them sorted, or raises ValueError
+    members = sorted(int(i) for i in j)
+    if len(members) < 2:
+        raise ValueError(f"a cluster needs at least 2 members, got {len(members)}")
+    if members[0] < 0 or members[-1] >= m or len(set(members)) < len(members):
+        raise ValueError(f"cluster members must be distinct indices in 0..{m - 1}")
+    return members
+
+
 def refine_cluster(j0, d, epsilon, m, mode=0):
     """Shrink a seed cluster until its d values satisfy the spread test.
 
@@ -158,16 +169,11 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     smallest d is removed and the test repeats. Removal-only, so the loop
     runs at most |j0| - 1 times. If the size drops below 2 the result is an
     empty, non-converged cluster. epsilon and d are checked as in msc_mode
-    and initial_cluster_by_gap, and a seed index outside d raises
-    ValueError.
+    and initial_cluster_by_gap, and j0 as in _check_members.
     """
     _check_epsilon(epsilon, m)
     d = _check_marginals(d)
-    members = sorted(int(i) for i in j0)
-    if len(members) < 2:
-        raise ValueError(f"seed cluster must have at least 2 members, got {len(members)}")
-    if members[0] < 0 or members[-1] >= d.size:
-        raise ValueError(f"seed cluster indices must lie in 0..{d.size - 1}")
+    members = _check_members(j0, d.size)
     while len(members) >= 2:
         bound = marginal_spread_bound(len(members), epsilon, m)
         if np.diff(np.sort(d[members])).max() <= bound:
@@ -180,7 +186,7 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     )
 
 
-def msc_mode(t, mode, epsilon, config=None):
+def msc_mode(t, mode, epsilon, eig="power"):
     """Full single-mode run: spectra, similarity, gap seed, refinement.
 
     The similarity matrix is retained on the result for the density-split
@@ -191,7 +197,7 @@ def msc_mode(t, mode, epsilon, config=None):
     """
     m = t.dims[_mode_axis(mode)]
     _check_epsilon(epsilon, m)
-    spectra = slice_spectra(t, mode, config)
+    spectra = slice_spectra(t, mode, eig)
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
     baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2

@@ -37,14 +37,13 @@ class ModeClustering:
 class Tricluster:
     """A triple of per-mode index sets defining a sub-cube, with a coherence score.
 
-    score is the mean absolute entry of the sub-cube (None when no tensor was
-    available at pairing time).
+    score is the mean absolute entry of the sub-cube.
     """
 
     j1: tuple
     j2: tuple
     j3: tuple
-    score: float | None = None
+    score: float
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,17 @@ class TriclusterSet:
 
 
 @blas_held()
-def run_msc(t, epsilon, config=None):
-    """Single-cluster-per-mode run on all three modes.
+def run_msc(t, epsilon, eig="power"):
+    """Single-cluster-per-mode run on all three modes, by top_eigen route eig.
 
     Errors propagate: an all-zero tensor raises DegenerateInputError, a
     gapless marginal vector raises NoGapError.
     """
-    return [msc_mode(t, mode, epsilon, config) for mode in (1, 2, 3)]
+    return [msc_mode(t, mode, epsilon, eig) for mode in (1, 2, 3)]
 
 
 @blas_held()
-def run_msc_dbscan(t, epsilon, config=None):
+def run_msc_dbscan(t, epsilon, eig="power"):
     """Per-mode clustering followed by density splitting, then pairing.
 
     A mode where no cluster can be seeded (gapless marginals) or where
@@ -75,7 +74,7 @@ def run_msc_dbscan(t, epsilon, config=None):
     modes = []
     for mode in (1, 2, 3):
         try:
-            res = msc_mode(t, mode, epsilon, config)
+            res = msc_mode(t, mode, epsilon, eig)
         except NoGapError as e:
             res = MscResult(mode=mode, cluster=(), d=e.d, epsilon=epsilon,
                             size=0, bound=0.0, converged=False)
@@ -85,16 +84,16 @@ def run_msc_dbscan(t, epsilon, config=None):
         split = split_cluster(res.similarity, res.cluster, epsilon)
         modes.append(ModeClustering(mode=mode, clusters=list(split.clusters),
                                     noise=split.noise, msc=res))
-    return modes, pair_triclusters(modes, tensor=t)
+    return modes, pair_triclusters(modes, t)
 
 
-def pair_triclusters(modes, tensor=None):
-    """Match per-mode clusters into triples by rank.
+def pair_triclusters(modes, tensor):
+    """Match per-mode clusters into triples by rank and score them on tensor.
 
     Clusters inside each ModeClustering are already ordered by descending
     mean marginal; position r of each mode forms tricluster r. The list is
-    truncated to the smallest per-mode cluster count. When a tensor is
-    given, each triple is scored by the mean absolute entry of its sub-cube.
+    truncated to the smallest per-mode cluster count. Each triple is scored
+    by the mean absolute entry of its sub-cube of tensor.
     """
     if len(modes) != 3:
         raise ValueError(f"expected 3 mode clusterings, got {len(modes)}")
@@ -102,20 +101,18 @@ def pair_triclusters(modes, tensor=None):
     triples = []
     for r in range(count):
         j1, j2, j3 = (tuple(modes[i].clusters[r]) for i in range(3))
-        score = None
-        if tensor is not None:
-            sub = tensor.subcube(j1, j2, j3)
-            score = float(np.abs(sub.data).mean())
+        score = float(np.abs(tensor.subcube(j1, j2, j3).data).mean())
         triples.append(Tricluster(j1=j1, j2=j2, j3=j3, score=score))
     return TriclusterSet(triclusters=triples, pairing_rule=PAIRING_RULE)
 
 
-def modes_from_msc(results, tensor=None):
+def modes_from_msc(results, tensor):
     """Wrap plain per-mode results as ModeClustering values.
 
     The single cluster of each converged mode becomes that mode's one
     cluster; empty or non-converged modes get no clusters. Lets the
-    single-stage method share the serialization path and pairing rule.
+    single-stage method share the serialization path and pairing rule;
+    the triples are scored on tensor.
     """
     modes = []
     for res in results:
@@ -123,11 +120,11 @@ def modes_from_msc(results, tensor=None):
         modes.append(
             ModeClustering(mode=res.mode, clusters=clusters, noise=(), msc=res)
         )
-    return modes, pair_triclusters(modes, tensor=tensor)
+    return modes, pair_triclusters(modes, tensor)
 
 
 @blas_held()
-def run_msc_iterated(t, epsilon, config=None):
+def run_msc_iterated(t, epsilon, eig="power"):
     """Repeated single-cluster extraction over shrinking complement sets.
 
     Each round runs run_msc on the still-unclaimed indices and claims the
@@ -137,7 +134,7 @@ def run_msc_iterated(t, epsilon, config=None):
     Each mode's msc is the first round's result, and round r forms
     tricluster r. Returns (list of ModeClustering, TriclusterSet).
     """
-    first = results = run_msc(t, epsilon, config)
+    first = results = run_msc(t, epsilon, eig)
     active = [range(m) for m in t.dims]
     rounds = []
     while all(r.converged for r in results):
@@ -148,7 +145,7 @@ def run_msc_iterated(t, epsilon, config=None):
         if min(len(a) for a in active) < 3:
             break
         try:
-            results = run_msc(t.subcube(*active), epsilon, config)
+            results = run_msc(t.subcube(*active), epsilon, eig)
         except (NoGapError, DegenerateInputError):
             break
     modes = [
@@ -156,16 +153,16 @@ def run_msc_iterated(t, epsilon, config=None):
                        noise=(), msc=res)
         for axis, res in enumerate(first)
     ]
-    return modes, replace(pair_triclusters(modes, tensor=t),
+    return modes, replace(pair_triclusters(modes, t),
                           pairing_rule="extraction-round")
 
 
-# method name -> function (t, epsilon, config=None) -> (modes, triset). All
+# method name -> function (t, epsilon, eig="power") -> (modes, triset). All
 # three run the per-mode stage msc_mode: msc keeps its cluster, msc-dbscan
 # splits it by density, msc-iterated reruns it on the unclaimed complement.
 METHODS = {
-    "msc": lambda t, epsilon, config=None: modes_from_msc(
-        run_msc(t, epsilon, config), tensor=t),
+    "msc": lambda t, epsilon, eig="power": modes_from_msc(
+        run_msc(t, epsilon, eig), t),
     "msc-dbscan": run_msc_dbscan,
     "msc-iterated": run_msc_iterated,
 }
@@ -199,7 +196,7 @@ def clusters_to_json(epsilon, method, modes, triset):
                 "j1": [int(i) for i in tc.j1],
                 "j2": [int(i) for i in tc.j2],
                 "j3": [int(i) for i in tc.j3],
-                "score": None if tc.score is None else float(tc.score),
+                "score": float(tc.score),
             }
             for tc in triset.triclusters
         ],

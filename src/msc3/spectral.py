@@ -22,7 +22,6 @@ thread, with numpy's OpenBLAS held at one thread (blas.blas_held).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,6 +36,8 @@ JACOBI_MAX_N = 512
 _JACOBI_CHUNK_BYTES = 32 << 20
 # covariances that one top_eigenpair or full_eigen_jacobi call takes at once
 _CHUNK_BYTES = 1 << 20
+# top_eigen's routes: LAPACK (the default) and Jacobi
+EIG_ROUTES = ("power", "exact")
 
 
 @dataclass(frozen=True)
@@ -47,47 +48,20 @@ class EigenPair:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigConfig:
-    """Eigen solver: 'power' (LAPACK, the default) or 'exact' (Jacobi)."""
-
-    method: str = "power"
-
-    def __post_init__(self):
-        if self.method not in ("power", "exact"):
-            raise ValueError(f"unknown eig method {self.method!r}")
-
-
 def covariance(m):
     """Gram matrix M^T M of a rows x cols matrix, exactly symmetric.
 
-    Each unordered entry pair is computed once and mirrored, so the result
-    is symmetric to the bit. Entries that overflow come back as inf without
-    a warning; top_eigen rejects them by their trace.
+    The result is symmetric to the bit and holds no -0.0: numpy computes
+    A^T A with BLAS syrk on one triangle and copies it to the other, and
+    its own loop sums entries (i, j) and (j, i) in one order, each sum
+    starting from +0.0. Entries that overflow come back as inf without a
+    warning; top_eigen rejects them by their trace.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or min(m.shape) < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return mirror_upper(m.T @ m)
-
-
-def mirror_upper(c):
-    """Copy the upper triangle of the square matrix c onto its lower one.
-
-    In place; returns c. A -0.0 becomes 0.0, as in triu(c) + triu(c, 1).T.
-    """
-    np.copyto(c, c.T, where=_strict_lower(c.shape[0]))
-    c += 0.0
-    return c
-
-
-@functools.lru_cache(maxsize=8)
-def _strict_lower(n):
-    # read-only, since every caller shares it
-    mask = np.tri(n, n, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+        return m.T @ m
 
 
 def _symmetric_stack(c):
@@ -322,8 +296,11 @@ def _offdiag_norms(a):
     return np.sqrt(sq.reshape(len(sq), -1).sum(axis=1))
 
 
-def top_eigen(covs, config=None, mode=None):
-    """Top eigenpair of each matrix in covs via the configured method.
+def top_eigen(covs, eig="power", mode=None):
+    """Top eigenpair of each matrix in covs by the route eig names.
+
+    eig is one of EIG_ROUTES: 'power' (LAPACK, the name kept for
+    compatibility) or 'exact' (Jacobi); any other name raises ValueError.
 
     This is the one place that decides how a mode's covariances are solved.
     Both routes pull them from the iterable in stacks of about _CHUNK_BYTES
@@ -339,7 +316,8 @@ def top_eigen(covs, config=None, mode=None):
     Items that are not square matrices of one shape raise ValueError.
     Returns a list with one EigenPair per matrix.
     """
-    exact = (config or EigConfig()).method == "exact"
+    if eig not in EIG_ROUTES:
+        raise ValueError(f"unknown eig route {eig!r}")
     out = []
     it = iter(covs)
     with blas.blas_held():
@@ -350,7 +328,7 @@ def top_eigen(covs, config=None, mode=None):
             if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
                 raise ValueError(f"expected square matrices, got {first.shape}")
             _check_scale(stack, len(out), mode)
-            if exact:
+            if eig == "exact":
                 out += [EigenPair(max(s[0].value, 0.0), s[0].vector)
                         for s in full_eigen_jacobi(stack)]
             else:

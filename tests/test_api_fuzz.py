@@ -5,8 +5,9 @@ eigen solvers and top_eigen get NaN, inf, huge, tiny and wrong-shape inputs
 of the right type. Each must return finite output or raise ValueError or an
 Msc3Error; it must never raise another exception or emit a warning (warnings
 are turned into errors here, so a RuntimeWarning fails the example).
-Out-of-range indices, modes and sizes given to refine_cluster, msc_mode,
-slice_spectra and benchmark_spec raise ValueError too.
+Out-of-range or repeated indices, modes and sizes given to refine_cluster,
+split_cluster, msc_mode, slice_spectra and benchmark_spec raise ValueError
+too.
 """
 
 import math
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from msc3 import (
-    EigConfig,
     Msc3Error,
+    SimilarityMatrix,
     Tensor3,
     benchmark_spec,
     dbscan,
@@ -29,6 +30,7 @@ from msc3 import (
     msc_mode,
     refine_cluster,
     slice_spectra,
+    split_cluster,
     top_eigen,
     top_eigenpair,
 )
@@ -109,7 +111,7 @@ def test_full_eigen_jacobi_is_finite_or_rejects(c):
 def test_top_eigen_is_finite_or_rejects(c, method, count):
     # count copies of each item, so that a stack of wrong-shape items forms
     items = [m for m in (c if c.ndim == 3 else [c]) for _ in range(count)]
-    out = _call(top_eigen, items, EigConfig(method))
+    out = _call(top_eigen, items, method)
     if out is not None:
         assert len(out) == len(items)
         for pair in out:
@@ -174,18 +176,25 @@ def test_refine_cluster_is_finite_or_rejects(data, d, epsilon):
 
 _D = np.array([5.0, 0.0, 0.1, 5.05])
 _T = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 4)))
+_C = np.abs(np.random.default_rng(1).standard_normal((5, 5)))
+_SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
 
 
 @pytest.mark.parametrize("call", [
     lambda: refine_cluster((-1, 0), _D, 0.1, 4),  # -1 would read d[3]
     lambda: refine_cluster((0, 7), _D, 0.1, 4),
+    lambda: refine_cluster((1, 1), _D, 0.1, 4),
+    lambda: split_cluster(_SIM, (-1, 0), 0.1),  # -1 would read column 4
+    lambda: split_cluster(_SIM, (3, 3), 0.1),
+    lambda: split_cluster(_SIM, (0, 9), 0.1),
     lambda: msc_mode(_T, 4, 0.1),
     lambda: msc_mode(_T, 0, 0.1),  # 0 would read the mode-3 size
     lambda: slice_spectra(_T, 4),
     lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=0, rank=1000),
     lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=-2, rank=1),
-], ids=["refine-negative", "refine-past-end", "msc-mode-4", "msc-mode-0",
-        "spectra-mode-4", "spec-size-0", "spec-size-negative"])
+], ids=["refine-negative", "refine-past-end", "refine-repeated",
+        "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
+        "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")

@@ -571,9 +571,11 @@ def test_cli_numbers_reject_literal_forms(tmp_path, capsys, argv, flag,
     ["sweep", "--gamma", "20:30:0"],
     ["sweep", "--gamma", "20:30:-5"],
     ["sweep", "--gamma", "30:20:5"],
+    # 1e17 + 1 == 1e17, so this range would list 1e17 forever
+    ["sweep", "--gamma", "1e17:1e17:1"],
 ], ids=["two_dims", "four_dims", "zero_dim", "three_gammas_rank_2",
         "zero_gamma", "negative_dim", "zero_step", "negative_step",
-        "stop_below_start"])
+        "stop_below_start", "step_lost_to_rounding"])
 def test_bad_dims_gammas_and_gamma_ranges_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["-o", str(out)]) == 2
@@ -608,3 +610,44 @@ def test_sweep_writes_error_rows_for_a_run_that_fails(tmp_path, capsys,
         ["25.0", "msc"], ["25.0", "msc-dbscan"]]
     for row in agg[1:]:
         assert all(math.isnan(float(v)) for v in row.split(",")[2:])
+
+
+def _huge_truth_eval(tmp_path):
+    # a clusters JSON without marginals skips the size check, so eval sizes
+    # its label array from the truth's 10^18 slices
+    main(_synth_args(tmp_path, truth="truth.json"))
+    clusters = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
+    doc = json.loads(clusters.read_text())
+    for entry in doc["modes"]:
+        entry["d"] = []
+    clusters.write_text(json.dumps(doc))
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    truth["dims"] = [10**18, 3, 3]
+    (tmp_path / "truth.json").write_text(json.dumps(truth))
+    return ["eval", str(clusters), "--truth", str(tmp_path / "truth.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["synth", "--dims", "100000,100000,100000", "--gamma", "1",
+                      "-o", str(tmp_path / "x.t3b")],
+    _huge_truth_eval,
+], ids=["synth", "eval"])
+def test_allocation_larger_than_any_address_space_exits_2(tmp_path, capsys,
+                                                          argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "x.t3b").exists()
+
+
+def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):
+    # a list that outgrows memory raises MemoryError with no text
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert main(["synth", "--dims", "5,5,5", "--gamma", "1", "-o", "x"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

@@ -135,13 +135,17 @@ def test_dbscan_memory_grows_with_points_not_pairs():
     assert peak < 32 * 2**20
 
 
+# entry (i, j, k) is 36 i + 6 j + k
+_T6 = Tensor3(np.arange(216.0).reshape(6, 6, 6))
+
+
 def test_pair_one_cluster_per_mode():
     modes = [_mc(1, [(0, 1)]), _mc(2, [(2, 3)]), _mc(3, [(4, 5)])]
-    triset = pair_triclusters(modes)
+    triset = pair_triclusters(modes, _T6)
     assert len(triset.triclusters) == 1
     tc = triset.triclusters[0]
     assert (tc.j1, tc.j2, tc.j3) == ((0, 1), (2, 3), (4, 5))
-    assert tc.score is None
+    assert tc.score == 18.0 + 15.0 + 4.5
     assert triset.pairing_rule == "rank-by-mean-marginal"
 
 
@@ -151,19 +155,19 @@ def test_pair_truncates_to_smallest_count():
         _mc(2, [(0, 1), (4, 5)]),
         _mc(3, [(1, 2)]),
     ]
-    triset = pair_triclusters(modes)
+    triset = pair_triclusters(modes, _T6)
     assert len(triset.triclusters) == 1
     assert triset.triclusters[0].j3 == (1, 2)
 
 
 def test_pair_empty_mode_gives_no_triples():
     modes = [_mc(1, [(0, 1)]), _mc(2, []), _mc(3, [(4, 5)])]
-    assert pair_triclusters(modes).triclusters == []
+    assert pair_triclusters(modes, _T6).triclusters == []
 
 
 def test_pair_requires_three_modes():
     with pytest.raises(ValueError):
-        pair_triclusters([_mc(1, []), _mc(2, [])])
+        pair_triclusters([_mc(1, []), _mc(2, [])], _T6)
 
 
 def test_pair_scores_with_tensor():
@@ -187,7 +191,7 @@ def test_modes_from_msc_wraps_converged_only():
 
     stub = MscResult(mode=1, cluster=(), d=np.zeros(4), epsilon=0.1, size=0,
                      bound=1.0, converged=False)
-    modes, triset = modes_from_msc([stub, results[1], results[2]])
+    modes, triset = modes_from_msc([stub, results[1], results[2]], t)
     assert modes[0].clusters == []
     assert triset.triclusters == []
 

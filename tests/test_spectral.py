@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from msc3 import (
     ConvergenceError,
-    EigConfig,
+    SliceSpectra,
     Tensor3,
     ValidationError,
     benchmark_spec,
@@ -17,6 +17,7 @@ from msc3 import (
     generate,
     run_msc_dbscan,
     save_tensor,
+    similarity_matrix,
     top_eigen,
     top_eigenpair,
 )
@@ -55,17 +56,42 @@ def test_covariance_exactly_symmetric():
         assert np.array_equal(c, c.T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 30])
-def test_mirror_upper_matches_two_triu_form(n):
-    # bit for bit, with NaN, inf and both signed zeros above and below
-    rng = np.random.default_rng(n)
-    c = rng.standard_normal((n, n))
-    c.flat[rng.integers(0, n * n, 4 * n)] = rng.choice(
-        [0.0, -0.0, np.inf, -np.inf, np.nan], 4 * n)
-    want = np.triu(c) + np.triu(c, 1).T
-    out = spectral.mirror_upper(c)
-    assert out is c
-    assert c.tobytes() == want.tobytes()
+def _gram_input(rng, layout):
+    # a random matrix in the given memory layout, with zero columns, an
+    # all-negative variant and, in some, +-inf, NaN and -0.0 entries
+    rows, cols = rng.integers(1, 40, 2)
+    m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-5, 5)
+    m[:, rng.random(cols) < 0.2] = 0.0
+    if rng.random() < 0.3:
+        m = -np.abs(m)
+    if rng.random() < 0.3:
+        m.flat[rng.integers(0, m.size, 3)] = rng.choice(
+            [np.inf, -np.inf, np.nan, -0.0], 3)
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        big = np.ones((2 * rows, 3 * cols))
+        big[::2, ::3] = m
+        return big[::2, ::3]
+    if layout == "transposed":
+        return m.T.copy().T
+    return m
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+def test_gram_products_are_bit_symmetric_without_negative_zero(layout):
+    # numpy's matmul forms m^T m symmetric to the bit, and each entry's sum
+    # starts from +0.0; covariance and similarity_matrix rely on both
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        m = _gram_input(rng, layout)
+        spectra = SliceSpectra(mode=1, lambdas=np.ones(m.shape[1]),
+                               lambda_max=1.0, v_matrix=m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sim = similarity_matrix(spectra).c
+        for c in (covariance(m), sim):
+            assert c.tobytes() == c.T.copy().tobytes()
+            assert not np.signbit(c[c == 0]).any()
 
 
 def test_covariance_of_a_single_row_has_no_negative_zero():
@@ -316,13 +342,13 @@ def test_top_eigenvalue_is_squared_operator_norm():
 
 def test_eig_config_validation():
     with pytest.raises(ValueError):
-        EigConfig(method="lanczos")
+        top_eigen([np.eye(2)], "lanczos")
 
 
 def test_top_eigen_exact_route():
     c = random_psd(10, seed=77)
-    [p_exact] = top_eigen([c], EigConfig(method="exact"))
-    [p_power] = top_eigen([c], EigConfig(method="power"))
+    [p_exact] = top_eigen([c], "exact")
+    [p_power] = top_eigen([c], "power")
     assert abs(p_exact.value - p_power.value) <= 1e-8 * max(p_exact.value, 1.0)
 
 
@@ -353,7 +379,7 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
             return solve(chunk)
 
         monkeypatch.setattr(spectral, name, traced)
-        got = top_eigen(one_shot(), EigConfig(method=method))
+        got = top_eigen(one_shot(), method)
         monkeypatch.setattr(spectral, name, solve)
         assert seen == [(2, 2), (4, 2), (5, 1)]
         want = [solve(c) for c in mats]
@@ -379,7 +405,7 @@ def test_top_eigen_on_the_pool_matches_one_thread_bit_for_bit(
     # stack short; each matrix gets the bits it gets solved alone
     mats = _mode_of_covs()
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
-    got = top_eigen(iter(mats), EigConfig(method))
+    got = top_eigen(iter(mats), method)
     if method == "power":
         want = [top_eigenpair(c) for c in mats]
     else:
@@ -402,7 +428,7 @@ def test_top_eigen_huge_slice_in_a_late_chunk_names_it_on_the_pool(
     mats[20] = np.diag([6.8e153] + [0.0] * 5)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
     with pytest.raises(ValidationError) as err:
-        top_eigen(iter(mats), EigConfig(method), mode=2)
+        top_eigen(iter(mats), method, mode=2)
     assert str(err.value).startswith("mode-2 slice 20 is too large")
 
 
@@ -534,7 +560,7 @@ def test_top_eigenpair_stack_in_chunks_matches_single_solves(monkeypatch):
 def test_top_eigen_exact_route_takes_a_generator(n):
     # the top Jacobi pair, its eigenvalue clamped at 0 (-I has top value -1)
     mats = _covs(n) + [-np.eye(n)]
-    got = top_eigen((c for c in mats), EigConfig(method="exact"))
+    got = top_eigen((c for c in mats), "exact")
     want = [full_eigen_jacobi(c)[0] for c in mats]
     assert _same_pairs(got, [spectral.EigenPair(max(p.value, 0.0), p.vector)
                              for p in want])
@@ -568,13 +594,13 @@ def test_covariance_psd_property(rows, cols, seed):
 def test_top_eigen_rejects_a_trace_whose_square_overflows(method):
     # 4 t^2 < inf holds at t = 6.7e153 and fails at 6.8e153 and at inf
     ok = np.diag([6.7e153, 0.0])
-    top_eigen([ok], EigConfig(method))
+    top_eigen([ok], method)
     for t in (6.8e153, np.inf):
         covs = [np.eye(2), np.eye(2), np.diag([t, 0.0])]
         with pytest.raises(ValidationError, match="^mode-3 slice 2 "):
-            top_eigen(covs, EigConfig(method), mode=3)
+            top_eigen(covs, method, mode=3)
         with pytest.raises(ValidationError, match="^matrix 2 "):
-            top_eigen(covs, EigConfig(method))
+            top_eigen(covs, method)
 
 
 @pytest.mark.filterwarnings("error")
@@ -618,4 +644,4 @@ def test_solvers_reject_non_finite_entries(solve, bad):
 ], ids=["vectors", "non_square", "stacks", "scalar"])
 def test_top_eigen_rejects_items_that_are_not_square_matrices(method, items):
     with pytest.raises(ValueError, match="square matrices"):
-        top_eigen(items, EigConfig(method))
+        top_eigen(items, method)
