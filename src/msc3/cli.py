@@ -40,6 +40,8 @@ RESULT_HEADER = "gamma,seed,method,mode,ari,rmse,wall_ms,status"
 AGGREGATE_HEADER = "gamma,method,ari_mean,ari_std,rmse_mean"
 MSC, MSC_DBSCAN, _ = METHODS  # the method names, in table order
 SWEEP_METHODS = (MSC, MSC_DBSCAN)
+# the most gammas a range may list, and (gamma, seed) cells a sweep may run
+_MAX_CELLS = 10**6
 
 
 def _parse_dims(text):
@@ -63,6 +65,8 @@ def _parse_gamma_range(text):
         raise ValueError("gamma step must be positive")
     if stop < start:
         raise ValueError("gamma stop must be >= start")
+    if (stop - start) / step > _MAX_CELLS:
+        raise ValueError(f"--gamma {text} lists more than {_MAX_CELLS} values")
     out = []
     v = start
     while v <= stop + 1e-9:
@@ -176,7 +180,7 @@ def _sweep_one(task):
 
     for method, (mmodes, mtriset) in zip(SWEEP_METHODS, runs):
         tris = [(tc.j1, tc.j2, tc.j3) for tc in mtriset.triclusters]
-        rmse = weighted_mean_rmse(t, tris) if tris else float("nan")
+        rmse = weighted_mean_rmse(t, tris)
         status = "ok" if all(mc.clusters for mc in mmodes) else "empty"
         for mode in (1, 2, 3):
             pred = labels_from_clusters(mmodes[mode - 1].clusters, t.dims[mode - 1])
@@ -199,6 +203,9 @@ def cmd_sweep(args):
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if len(gammas) * args.runs > _MAX_CELLS:
+        raise ValueError(f"{len(gammas)} gammas x {args.runs} runs is over "
+                         f"{_MAX_CELLS} cells")
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
     tasks = [
@@ -231,8 +238,8 @@ def cmd_sweep(args):
                     [r[5] for r in rows if r[3] == 1], dtype=float
                 )
                 finite = rmses[np.isfinite(rmses)]
-                ari_mean = float(np.mean(aris)) if aris.size else float("nan")
-                ari_std = float(np.std(aris)) if aris.size else float("nan")
+                ari_mean = float(np.mean(aris))
+                ari_std = float(np.std(aris))
                 rmse_mean = float(np.mean(finite)) if finite.size else float("nan")
                 fh.write(
                     f"{float(g)!r},{method},{ari_mean!r},{ari_std!r},"

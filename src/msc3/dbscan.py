@@ -176,7 +176,7 @@ def split_cluster(sim, j, epsilon):
     points = sim.c[:, members].T
     labels = dbscan(points, radius, minpts=2)
     clusters = []
-    for cid in range(labels.max() + 1 if labels.size else 0):
+    for cid in range(labels.max() + 1):
         idx = tuple(members[k] for k in np.flatnonzero(labels == cid))
         clusters.append(idx)
     noise = tuple(members[k] for k in np.flatnonzero(labels == NOISE))

@@ -27,13 +27,16 @@ class SliceSpectra:
     """Spectral summary of all slices along one mode.
 
     v_matrix column i is (lambdas[i] / lambda_max) * (top eigenvector of
-    slice i's covariance), so its norm encodes relative slice energy.
+    slice i's covariance), so its norm encodes relative slice energy;
+    lambda_max is derived, the largest of lambdas.
     """
 
-    mode: int
     lambdas: np.ndarray
-    lambda_max: float
     v_matrix: np.ndarray
+
+    @property
+    def lambda_max(self):
+        return float(self.lambdas.max())
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,9 @@ class MscResult:
     """One mode's cluster with its diagnostics.
 
     bound is the spread allowance l * epsilon / 2 + sqrt(max(0, ln(m - l)))
-    at the final cluster size l. converged means the cluster has 2 or more
-    members and every step between its consecutive sorted d values is at
-    most the bound.
+    at the final cluster size l. size and converged are derived: len(cluster)
+    and bool(cluster), as a kept cluster has 2 or more members and no step
+    between its consecutive sorted d values above the bound.
     strength_ratio compares lambda_max against the random-slice baseline
     (sqrt(rows - 1) + sqrt(cols))^2 for this mode's slice shape; it is a
     diagnostic only and is never enforced.
@@ -60,13 +63,18 @@ class MscResult:
     mode: int
     cluster: tuple
     d: np.ndarray
-    epsilon: float
-    size: int
     bound: float
-    converged: bool
     similarity: SimilarityMatrix | None = field(default=None, repr=False)
     lambda_max: float | None = None
     strength_ratio: float | None = None
+
+    @property
+    def size(self):
+        return len(self.cluster)
+
+    @property
+    def converged(self):
+        return bool(self.cluster)
 
 
 def marginal_spread_bound(l, epsilon, m):
@@ -116,7 +124,7 @@ def slice_spectra(t, mode, eig="power"):
         )
     ratios = lams / lam_max
     v = np.column_stack(vecs) * ratios[np.newaxis, :]
-    return SliceSpectra(mode=mode, lambdas=lams, lambda_max=lam_max, v_matrix=v)
+    return SliceSpectra(lambdas=lams, v_matrix=v)
 
 
 def similarity_matrix(spectra):
@@ -180,10 +188,7 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
             break
         members.remove(members[int(np.argmin(d[members]))])
     cluster = tuple(members) if len(members) >= 2 else ()
-    return MscResult(
-        mode=mode, cluster=cluster, d=d, epsilon=epsilon, size=len(cluster),
-        bound=bound, converged=bool(cluster),
-    )
+    return MscResult(mode=mode, cluster=cluster, d=d, bound=bound)
 
 
 def msc_mode(t, mode, epsilon, eig="power"):
@@ -201,13 +206,11 @@ def msc_mode(t, mode, epsilon, eig="power"):
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
     baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2
-    ratio = spectra.lambda_max / baseline if baseline > 0 else float("inf")
     seed = initial_cluster_by_gap(sim.d)
     if len(seed) < 2:
-        res = MscResult(
-            mode=mode, cluster=(), d=sim.d, epsilon=epsilon, size=0,
-            bound=marginal_spread_bound(2, epsilon, m), converged=False)
+        res = MscResult(mode=mode, cluster=(), d=sim.d,
+                        bound=marginal_spread_bound(2, epsilon, m))
     else:
         res = refine_cluster(seed, sim.d, epsilon, m, mode=mode)
     return replace(res, similarity=sim, lambda_max=spectra.lambda_max,
-                   strength_ratio=ratio)
+                   strength_ratio=spectra.lambda_max / baseline)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dbscan import split_cluster
-from .errors import DegenerateInputError, NoGapError, load_json
+from .errors import DegenerateInputError, NoGapError, ValidationError, load_json
 from .msc import MscResult, msc_mode
 from .blas import blas_held
 
@@ -25,12 +25,15 @@ PAIRING_RULE = "rank-by-mean-marginal"
 
 @dataclass(frozen=True)
 class ModeClustering:
-    """One mode's final clusters plus the diagnostics of the stage that made them."""
+    """One mode's final clusters and noise; mode is derived from msc."""
 
-    mode: int
     clusters: list
     noise: tuple
     msc: MscResult = field(repr=False)
+
+    @property
+    def mode(self):
+        return self.msc.mode
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,12 @@ def run_msc_dbscan(t, epsilon, eig="power"):
         try:
             res = msc_mode(t, mode, epsilon, eig)
         except NoGapError as e:
-            res = MscResult(mode=mode, cluster=(), d=e.d, epsilon=epsilon,
-                            size=0, bound=0.0, converged=False)
+            res = MscResult(mode=mode, cluster=(), d=e.d, bound=0.0)
         if not res.converged:
-            modes.append(ModeClustering(mode=mode, clusters=[], noise=(), msc=res))
+            modes.append(ModeClustering(clusters=[], noise=(), msc=res))
             continue
         split = split_cluster(res.similarity, res.cluster, epsilon)
-        modes.append(ModeClustering(mode=mode, clusters=list(split.clusters),
+        modes.append(ModeClustering(clusters=list(split.clusters),
                                     noise=split.noise, msc=res))
     return modes, pair_triclusters(modes, t)
 
@@ -117,9 +119,7 @@ def modes_from_msc(results, tensor):
     modes = []
     for res in results:
         clusters = [tuple(res.cluster)] if res.converged else []
-        modes.append(
-            ModeClustering(mode=res.mode, clusters=clusters, noise=(), msc=res)
-        )
+        modes.append(ModeClustering(clusters=clusters, noise=(), msc=res))
     return modes, pair_triclusters(modes, tensor)
 
 
@@ -149,8 +149,7 @@ def run_msc_iterated(t, epsilon, eig="power"):
         except (NoGapError, DegenerateInputError):
             break
     modes = [
-        ModeClustering(mode=res.mode, clusters=[r[axis] for r in rounds],
-                       noise=(), msc=res)
+        ModeClustering(clusters=[r[axis] for r in rounds], noise=(), msc=res)
         for axis, res in enumerate(first)
     ]
     return modes, replace(pair_triclusters(modes, t),
@@ -205,8 +204,11 @@ def clusters_to_json(epsilon, method, modes, triset):
 
 
 def clusters_from_json(text):
-    """Parse a clusters JSON, checking every key eval reads (see load_json)."""
-    return load_json(text, "clusters JSON", {
+    """Parse a clusters JSON of modes 1-3, checking every key eval reads."""
+    doc = load_json(text, "clusters JSON", {
         "modes": [{"mode": int, "clusters": [[int]], "d": [float]}],
         "triclusters": [{"j1": [int], "j2": [int], "j3": [int]}],
     })
+    if sorted(entry["mode"] for entry in doc["modes"]) != [1, 2, 3]:
+        raise ValidationError("clusters JSON must list modes 1, 2, 3 once each")
+    return doc

@@ -15,9 +15,9 @@ Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
-top_eigen alone decides how a mode's covariances meet a solver: both
-routes take them in stacks of about 1 MiB and solve them on the calling
-thread, with numpy's OpenBLAS held at one thread (blas.blas_held).
+top_eigen alone splits a mode's covariances into stacks of about 1 MiB,
+and both routes solve each whole stack on the calling thread, with numpy's
+OpenBLAS held at one thread (blas.blas_held).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from . import blas
 from .errors import ConvergenceError, ValidationError
 
 JACOBI_MAX_N = 512
-# working-array budget of one stacked Jacobi solve; a stack is solved in
-# chunks of matrices whose working arrays (about 80 n^2 bytes each) fit it
-_JACOBI_CHUNK_BYTES = 32 << 20
+# Jacobi's stopping test (off-diagonal norm / ||C||_F) and sweep budget
+_JACOBI_TOL = 1e-12
+_JACOBI_SWEEPS = 60
 # covariances that one top_eigenpair or full_eigen_jacobi call takes at once
 _CHUNK_BYTES = 1 << 20
 # top_eigen's routes: LAPACK (the default) and Jacobi
@@ -142,39 +142,28 @@ def _eigh_top(c, tol):
     return EigenPair(max(lam, 0.0), _fix_sign(v))
 
 
-def full_eigen_jacobi(c, tol_factor=1e-12, max_sweeps=60):
+def full_eigen_jacobi(c):
     """All eigenpairs of a symmetric matrix by parallel-order Jacobi rotations.
 
-    Reduces the off-diagonal Frobenius norm below tol_factor * ||C||_F and
-    returns EigenPairs sorted by descending eigenvalue. Capped at n <= 512;
-    this solver exists for exact small-scale work and as the independent
-    cross-check for top_eigenpair.
+    Reduces the off-diagonal Frobenius norm below _JACOBI_TOL * ||C||_F in
+    _JACOBI_SWEEPS sweeps and returns EigenPairs sorted by descending
+    eigenvalue. Capped at n <= 512; this solver exists for exact small-scale
+    work and as the independent cross-check for top_eigenpair.
 
-    c may also be a stack (k, n, n); the result is then a list of k such
-    lists. Each matrix keeps its own threshold and stops rotating once its
-    own off-diagonal norm passes, so its pairs are bit for bit those it
-    gets when solved alone. ConvergenceError carries the largest residual
-    of the matrices that did not converge. As in top_eigenpair, a matrix
-    whose 4 ||C||_F^2 overflows raises ValidationError.
+    c may also be a stack (k, n, n), solved whole; the result is then a list
+    of k such lists. Each matrix keeps its own threshold and stops rotating
+    once its own off-diagonal norm passes, so its pairs are bit for bit
+    those it gets when solved alone. ConvergenceError carries the largest
+    residual of the matrices that did not converge. As in top_eigenpair, a
+    matrix whose 4 ||C||_F^2 overflows raises ValidationError.
     """
-    if not tol_factor > 0:
-        raise ValueError("tol_factor must be positive")
     a, single = _symmetric_stack(c)
-    n = a.shape[-1]
+    k, n, _ = a.shape
     if n > JACOBI_MAX_N:
         raise ValueError(f"jacobi solver capped at n={JACOBI_MAX_N}, got {n}")
-    chunk = max(1, _JACOBI_CHUNK_BYTES // (80 * n * n))
-    out = []
-    for lo in range(0, a.shape[0], chunk):
-        out.extend(_jacobi_stack(a[lo:lo + chunk], tol_factor, max_sweeps))
-    return out[0] if single else out
-
-
-def _jacobi_stack(a, tol_factor, max_sweeps):
     # rotates only the matrices still above their own threshold; the rest
     # leave the working arrays as they converge, a zero matrix (threshold 0)
     # at the first check with unit vectors in index order
-    k, n, _ = a.shape
     out = [None] * k
     # work in the layout of the first step, where the pairs sit at positions
     # (0, 1), (2, 3), ...; odd n gets a zero row and column for the dummy
@@ -193,20 +182,20 @@ def _jacobi_stack(a, tol_factor, max_sweeps):
     w[:, at[:, np.newaxis], at] = a
     w[:, m + first, np.arange(m)] = 1.0
     idx = np.arange(k)
-    thresh = tol_factor * np.sqrt((a * a).reshape(k, -1).sum(axis=1))
+    thresh = _JACOBI_TOL * np.sqrt((a * a).reshape(k, n * n).sum(axis=1))
     # pivots at or below this leave the off-diagonal norm under thresh even
     # if none of them is ever rotated: n(n-1) entries of size thresh/(2n)
     # give a Frobenius norm of at most thresh/2
     skip = (thresh / (2.0 * n))[:, np.newaxis]
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         done = _offdiag_norms(w[:, :m]) <= thresh
         if done.any():
             for j in np.flatnonzero(done):
                 out[idx[j]] = _sorted_pairs(w[j, :m], w[j, m:], first, n)
             keep = ~done
             w, idx, thresh, skip = w[keep], idx[keep], thresh[keep], skip[keep]
-            if idx.size == 0:
-                return out
+        if idx.size == 0:
+            return out[0] if single else out
         # each step rotates its pairs, then moves the next step's pairs
         # into place; the last move returns to the first layout
         for row, move in zip(rows, moves):
@@ -214,7 +203,7 @@ def _jacobi_stack(a, tol_factor, max_sweeps):
             w = w[:, row[:, np.newaxis], move]
     res = _offdiag_norms(w[:, :m])
     raise ConvergenceError(
-        f"jacobi did not converge in {max_sweeps} sweeps "
+        f"jacobi did not converge in {_JACOBI_SWEEPS} sweeps "
         f"(off-diagonal norm {res.max():.3e})",
         residual=float(res.max()),
     )
@@ -293,7 +282,7 @@ def _offdiag_norms(a):
     sq = a * a
     d = np.arange(a.shape[-1])
     sq[:, d, d] = 0.0
-    return np.sqrt(sq.reshape(len(sq), -1).sum(axis=1))
+    return np.sqrt(sq.reshape(len(sq), d.size * d.size).sum(axis=1))
 
 
 def top_eigen(covs, eig="power", mode=None):

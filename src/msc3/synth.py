@@ -195,6 +195,9 @@ def truth_to_json(spec, truth):
 
 
 def truth_from_json(text):
-    """Parse a truth JSON, checking every key eval reads (see load_json)."""
-    return load_json(text, "truth JSON",
-                     {"dims": [int], "modes": [{"clusters": [[int]]}]})
+    """Parse a 3-dim, 3-mode truth JSON, checking every key eval reads."""
+    doc = load_json(text, "truth JSON",
+                    {"dims": [int], "modes": [{"clusters": [[int]]}]})
+    if len(doc["dims"]) != 3 or len(doc["modes"]) != 3:
+        raise ValidationError("truth JSON must hold 3 dims and 3 modes")
+    return doc

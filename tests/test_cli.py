@@ -301,6 +301,53 @@ def test_eval_mode_out_of_range_exits_2(tmp_path, capsys, mode):
     assert "mode" in capsys.readouterr().err
 
 
+def _no_modes(doc):
+    doc["modes"] = []
+
+
+def _mode_1_three_times(doc):
+    for entry in doc["modes"]:
+        entry["mode"] = 1
+
+
+def _four_dims(doc):
+    doc["dims"].append(12)
+
+
+def _two_dims(doc):
+    doc["dims"].pop()
+
+
+def _one_mode(doc):
+    del doc["modes"][1:]
+
+
+@pytest.mark.parametrize("which, edit", [
+    ("clusters", _no_modes),
+    ("clusters", _mode_1_three_times),
+    ("truth", _four_dims),
+    ("truth", _two_dims),
+    ("truth", _one_mode),
+], ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"))
+def test_eval_rejects_documents_without_three_modes(tmp_path, capsys, which,
+                                                     edit):
+    # eval scored the first two as ari_mean nan and ari_mode1 1.0 three
+    # times, and the last two ended in a bare IndexError
+    main(_synth_args(tmp_path, truth="truth.json"))
+    clusters = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
+    bad = clusters if which == "clusters" else tmp_path / "truth.json"
+    doc = json.loads(bad.read_text())
+    edit(doc)
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", str(clusters), "--truth", str(tmp_path / "truth.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {which} JSON must ")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method", ["msc", "msc-dbscan", "msc-iterated"])
 def test_cluster_nonfinite_epsilon_exits_2(tmp_path, capsys, method, value):
@@ -580,6 +627,27 @@ def test_bad_dims_gammas_and_gamma_ranges_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gamma", "0:1e300:1"], "lists more than 1000000 values"),
+    (["--gamma", "20:20:1", "--runs", "100000000000"],
+     "1 gammas x 100000000000 runs is over 1000000 cells"),
+    (["--gamma", "1:1000:1", "--runs", "1001"],
+     "1000 gammas x 1001 runs is over 1000000 cells"),
+], ids=["range", "runs", "gammas_times_runs"])
+def test_sweep_past_the_cell_cap_exits_2_at_once(tmp_path, capsys,
+                                                 monkeypatch, argv, message):
+    # sweeps with no practical end are refused before any cell runs
+    def fail(task):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_one", fail)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
     assert not out.exists()
 
 

@@ -110,7 +110,7 @@ def test_slice_spectra_needs_three_slices():
 def _spectra_from_columns(cols):
     v = np.column_stack(cols)
     lams = np.array([np.linalg.norm(c) ** 2 for c in cols])
-    return SliceSpectra(mode=1, lambdas=lams, lambda_max=1.0, v_matrix=v)
+    return SliceSpectra(lambdas=lams, v_matrix=v)
 
 
 def test_similarity_all_columns_equal():

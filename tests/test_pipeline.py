@@ -38,12 +38,11 @@ def _block_spec(gammas, dims=(12, 12, 12), size=3, noise=0.0, seed=0):
 
 
 def _dummy_result(mode, m=6):
-    return MscResult(mode=mode, cluster=(0, 1), d=np.zeros(m), epsilon=0.1,
-                     size=2, bound=1.0, converged=True)
+    return MscResult(mode=mode, cluster=(0, 1), d=np.zeros(m), bound=1.0)
 
 
 def _mc(mode, clusters, noise=()):
-    return ModeClustering(mode=mode, clusters=list(clusters), noise=tuple(noise),
+    return ModeClustering(clusters=list(clusters), noise=tuple(noise),
                           msc=_dummy_result(mode))
 
 
@@ -189,8 +188,7 @@ def test_modes_from_msc_wraps_converged_only():
         assert mc.msc is res
     assert len(triset.triclusters) == 1
 
-    stub = MscResult(mode=1, cluster=(), d=np.zeros(4), epsilon=0.1, size=0,
-                     bound=1.0, converged=False)
+    stub = MscResult(mode=1, cluster=(), d=np.zeros(4), bound=1.0)
     modes, triset = modes_from_msc([stub, results[1], results[2]], t)
     assert modes[0].clusters == []
     assert triset.triclusters == []

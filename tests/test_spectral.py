@@ -85,8 +85,7 @@ def test_gram_products_are_bit_symmetric_without_negative_zero(layout):
     rng = np.random.default_rng(0)
     for _ in range(100):
         m = _gram_input(rng, layout)
-        spectra = SliceSpectra(mode=1, lambdas=np.ones(m.shape[1]),
-                               lambda_max=1.0, v_matrix=m)
+        spectra = SliceSpectra(lambdas=np.ones(m.shape[1]), v_matrix=m)
         with np.errstate(invalid="ignore", over="ignore"):
             sim = similarity_matrix(spectra).c
         for c in (covariance(m), sim):
@@ -253,15 +252,6 @@ def test_jacobi_stack_matches_single_solves_bit_for_bit(n):
         assert _same_pairs(pairs, full_eigen_jacobi(c))
 
 
-def test_jacobi_stack_in_chunks_matches_single_solves(monkeypatch):
-    # a stack larger than one chunk is solved chunk by chunk
-    stack = np.stack([random_psd(5, seed=s) for s in range(7)])
-    monkeypatch.setattr(spectral, "_JACOBI_CHUNK_BYTES", 3 * 80 * 5 * 5)
-    got = full_eigen_jacobi(stack)
-    for pairs, c in zip(got, stack):
-        assert _same_pairs(pairs, full_eigen_jacobi(c))
-
-
 def test_jacobi_validates_input():
     stack = np.stack([np.eye(3), np.array([[1.0, 2.0, 0.0],
                                            [0.0, 1.0, 0.0],
@@ -271,9 +261,6 @@ def test_jacobi_validates_input():
     with pytest.raises(ValueError):
         full_eigen_jacobi(np.zeros((2, 3, 4)))
     assert full_eigen_jacobi(np.zeros((0, 3, 3))) == []
-    for tol_factor in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="tol_factor"):
-            full_eigen_jacobi(np.eye(3), tol_factor=tol_factor)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -299,25 +286,28 @@ def test_round_robin_covers_each_pair_once(n):
     (np.array([[1.0, 1e-200, 0.5], [1e-200, 2.0, 0.0], [0.5, 0.0, 3.0]]), {}),
     # the same tiny pivot rotated, with theta near 5e199
     (np.array([[1.0, 1e-200, 0.5], [1e-200, 2.0, 0.0], [0.5, 0.0, 3.0]]),
-     {"tol_factor": 1e-300}),
+     {"_JACOBI_TOL": 1e-300}),
 ])
-def test_jacobi_edge_pivots_raise_no_warning(c, kwargs):
+def test_jacobi_edge_pivots_raise_no_warning(c, kwargs, monkeypatch):
+    for name, value in kwargs.items():
+        monkeypatch.setattr(spectral, name, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = full_eigen_jacobi(c, **kwargs)
+        pairs = full_eigen_jacobi(c)
     vals = np.array([p.value for p in pairs])
     ref = np.linalg.eigvalsh(c)[::-1]
     assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
 
 
-def test_jacobi_nonconvergence_reports_residual():
+def test_jacobi_nonconvergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(spectral, "_JACOBI_SWEEPS", 1)
     c = random_psd(8, seed=4)
     with pytest.raises(ConvergenceError) as exc:
-        full_eigen_jacobi(c, max_sweeps=1)
+        full_eigen_jacobi(c)
     assert exc.value.residual > 1e-12 * np.sqrt((c * c).sum())
     stack = np.stack([np.eye(8), c])
     with pytest.raises(ConvergenceError) as exc_stack:
-        full_eigen_jacobi(stack, max_sweeps=1)
+        full_eigen_jacobi(stack)
     assert exc_stack.value.residual == exc.value.residual
 
 
