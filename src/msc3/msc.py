@@ -104,17 +104,37 @@ def _check_marginals(d):
     return d
 
 
-def slice_spectra(t, mode, eig="power"):
-    """Top eigenpair of every slice covariance along one mode, by route eig.
-
-    Raises DegenerateInputError when all slices are zero (nothing to
-    normalize against).
-    """
+def _slice_count(t, mode):
+    # the number of slices along mode; the spectra need 3 or more
     m = t.dims[_mode_axis(mode)]
     if m < 3:
         raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    pairs = top_eigen((covariance(t.slice(mode, i)) for i in range(m)), eig,
-                      mode=mode)
+    return m
+
+
+def slice_spectra(t, mode, eig="power"):
+    """Top eigenpair of every slice covariance along one mode, by route eig.
+
+    mode may also be a tuple of modes. One top_eigen call then solves the
+    covariances of all of them, in mode order, and a list of one
+    SliceSpectra per mode is returned, each bit for bit what its mode gets
+    alone. Every mode's slice count is checked before any solve.
+    Raises DegenerateInputError when all slices of a mode are zero (nothing
+    to normalize against).
+    """
+    modes = mode if isinstance(mode, tuple) else (mode,)
+    spans = [(k, _slice_count(t, k)) for k in modes]
+    pairs = top_eigen((covariance(t.slice(k, i))
+                       for k, m in spans for i in range(m)), eig, mode=spans)
+    spectra, start = [], 0
+    for k, m in spans:
+        spectra.append(_normalized(pairs[start:start + m], k))
+        start += m
+    return spectra if isinstance(mode, tuple) else spectra[0]
+
+
+def _normalized(pairs, mode):
+    # one mode's SliceSpectra from the top pairs of its slices
     lams = np.array([pair.value for pair in pairs])
     vecs = [pair.vector for pair in pairs]
     lam_max = float(lams.max())
@@ -191,18 +211,29 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     return MscResult(mode=mode, cluster=cluster, d=d, bound=bound)
 
 
-def msc_mode(t, mode, epsilon, eig="power"):
-    """Full single-mode run: spectra, similarity, gap seed, refinement.
+def mode_spectra(t, modes, epsilon, eig="power"):
+    """Check epsilon and the slice count of each mode, in mode order, then
+    solve the slices of every mode in one slice_spectra pass.
+
+    Returns one SliceSpectra per mode. epsilon must be finite and positive,
+    and not so large that the spread bound at a mode's full size m
+    overflows (ValueError).
+    """
+    for mode in modes:
+        _check_epsilon(epsilon, t.dims[_mode_axis(mode)])
+        _slice_count(t, mode)
+    return slice_spectra(t, tuple(modes), eig)
+
+
+def msc_stage(t, mode, spectra, epsilon):
+    """One mode's stage after its spectra: similarity, gap seed, refinement.
 
     The similarity matrix is retained on the result for the density-split
     stage. A singleton seed (a lone outlying slice) is reported as an empty,
-    non-converged result rather than a cluster. Raises ValueError on an
-    epsilon that is not finite and positive, or so large that the spread
-    bound at the full size m overflows.
+    non-converged result rather than a cluster. Gapless marginals raise
+    NoGapError.
     """
     m = t.dims[_mode_axis(mode)]
-    _check_epsilon(epsilon, m)
-    spectra = slice_spectra(t, mode, eig)
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
     baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2
@@ -214,3 +245,13 @@ def msc_mode(t, mode, epsilon, eig="power"):
         res = refine_cluster(seed, sim.d, epsilon, m, mode=mode)
     return replace(res, similarity=sim, lambda_max=spectra.lambda_max,
                    strength_ratio=spectra.lambda_max / baseline)
+
+
+def msc_mode(t, mode, epsilon, eig="power"):
+    """Full single-mode run: spectra (mode_spectra), then msc_stage.
+
+    Raises ValueError on an epsilon that is not finite and positive, or so
+    large that the spread bound at the full size m overflows.
+    """
+    [spectra] = mode_spectra(t, (mode,), epsilon, eig)
+    return msc_stage(t, mode, spectra, epsilon)

@@ -1,11 +1,13 @@
 """End-to-end runs: per-mode clustering, density splitting, tricluster assembly.
 
-The three modes are processed independently. Cross-mode pairing is by rank:
-clusters within each mode are ordered by descending mean marginal and matched
-by position, truncating to the smallest per-mode count. The pairing rule is
-recorded on the result so downstream consumers can see how triples were
-formed. Each run holds numpy's OpenBLAS at one thread from start to end
-(blas.blas_held), so its output does not depend on the core count.
+The slices of all three modes are solved in one top_eigen pass
+(msc.mode_spectra); each mode's stage then runs on its own. Cross-mode
+pairing is by rank: clusters within each mode are ordered by descending mean
+marginal and matched by position, truncating to the smallest per-mode count.
+The pairing rule is recorded on the result so downstream consumers can see
+how triples were formed. Each run holds numpy's OpenBLAS at one thread from
+start to end (blas.blas_held), so its output does not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .dbscan import split_cluster
 from .errors import DegenerateInputError, NoGapError, ValidationError, load_json
-from .msc import MscResult, msc_mode
+from .msc import MscResult, mode_spectra, msc_stage
 from .blas import blas_held
 
 PAIRING_RULE = "rank-by-mean-marginal"
@@ -62,7 +64,9 @@ def run_msc(t, epsilon, eig="power"):
     Errors propagate: an all-zero tensor raises DegenerateInputError, a
     gapless marginal vector raises NoGapError.
     """
-    return [msc_mode(t, mode, epsilon, eig) for mode in (1, 2, 3)]
+    spectra = mode_spectra(t, (1, 2, 3), epsilon, eig)
+    return [msc_stage(t, mode, s, epsilon)
+            for mode, s in zip((1, 2, 3), spectra)]
 
 
 @blas_held()
@@ -75,9 +79,10 @@ def run_msc_dbscan(t, epsilon, eig="power"):
     Returns (list of ModeClustering, TriclusterSet).
     """
     modes = []
-    for mode in (1, 2, 3):
+    spectra = mode_spectra(t, (1, 2, 3), epsilon, eig)
+    for mode, s in zip((1, 2, 3), spectra):
         try:
-            res = msc_mode(t, mode, epsilon, eig)
+            res = msc_stage(t, mode, s, epsilon)
         except NoGapError as e:
             res = MscResult(mode=mode, cluster=(), d=e.d, bound=0.0)
         if not res.converged:
@@ -157,7 +162,7 @@ def run_msc_iterated(t, epsilon, eig="power"):
 
 
 # method name -> function (t, epsilon, eig="power") -> (modes, triset). All
-# three run the per-mode stage msc_mode: msc keeps its cluster, msc-dbscan
+# three run the per-mode stage msc_stage: msc keeps its cluster, msc-dbscan
 # splits it by density, msc-iterated reruns it on the unclaimed complement.
 METHODS = {
     "msc": lambda t, epsilon, eig="power": modes_from_msc(

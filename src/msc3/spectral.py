@@ -15,14 +15,16 @@ Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
 of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
-top_eigen alone splits a mode's covariances into stacks of about 1 MiB,
-and both routes solve each whole stack on the calling thread, with numpy's
-OpenBLAS held at one thread (blas.blas_held).
+top_eigen alone splits covariances into stacks: runs of one shape, of about
+1 MiB each, so that the covariances of all three modes of a run go through
+one call, and a stack ends where the shape changes. Both routes solve each
+whole stack on the calling thread, with numpy's OpenBLAS held at one thread
+(blas.blas_held).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,49 +293,68 @@ def top_eigen(covs, eig="power", mode=None):
     eig is one of EIG_ROUTES: 'power' (LAPACK, the name kept for
     compatibility) or 'exact' (Jacobi); any other name raises ValueError.
 
-    This is the one place that decides how a mode's covariances are solved.
-    Both routes pull them from the iterable in stacks of about _CHUNK_BYTES
-    and solve each stack on the calling thread before the next is pulled,
-    so one stack is alive at once: 'power' with one top_eigenpair call,
-    'exact' with one full_eigen_jacobi call, clamping each top eigenvalue
-    at 0. numpy's OpenBLAS is held at one thread throughout
-    (blas.blas_held).
+    This is the one place that decides how covariances are solved. Both
+    routes pull consecutive matrices of one shape from the iterable into a
+    stack of about _CHUNK_BYTES; a full stack, or a matrix of another
+    shape, ends it. Each stack is solved on the calling thread before the
+    next is pulled, so one stack is alive at once: 'power' with one
+    top_eigenpair call, 'exact' with one full_eigen_jacobi call, clamping
+    each top eigenvalue at 0. numpy's OpenBLAS is held at one thread
+    throughout (blas.blas_held).
     Before either solves a stack, a covariance whose trace t fails
-    4 t^2 < inf raises ValidationError naming the slice (and mode, if
-    given): for a PSD matrix t bounds ||C||_F, lambda and ||C v||, so below
-    that limit no squared norm either solver forms can overflow.
-    Items that are not square matrices of one shape raise ValueError.
+    4 t^2 < inf raises ValidationError naming it: for a PSD matrix t bounds
+    ||C||_F, lambda and ||C v||, so below that limit no squared norm either
+    solver forms can overflow. mode names the covariances: None gives
+    "matrix i", a mode number "mode-{mode} slice i", and a sequence of
+    (mode, count) pairs gives the first count matrices to the first mode,
+    and so on, i counting within each mode.
+    Items that are not square matrices raise ValueError.
     Returns a list with one EigenPair per matrix.
     """
     if eig not in EIG_ROUTES:
         raise ValueError(f"unknown eig route {eig!r}")
-    out = []
-    it = iter(covs)
+    if np.ndim(mode) == 0:
+        mode = [(mode, math.inf)]
+    out, stack = [], []
+
+    def solve():
+        a = np.stack(stack)
+        stack.clear()
+        _check_scale(a, len(out), mode)
+        if eig == "exact":
+            return [EigenPair(max(s[0].value, 0.0), s[0].vector)
+                    for s in full_eigen_jacobi(a)]
+        return top_eigenpair(a)
+
     with blas.blas_held():
-        for first in it:
-            first = np.asarray(first, dtype=np.float64)
-            more = max(_CHUNK_BYTES // max(first.nbytes, 1), 1) - 1
-            stack = np.stack([first, *itertools.islice(it, more)])
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-                raise ValueError(f"expected square matrices, got {first.shape}")
-            _check_scale(stack, len(out), mode)
-            if eig == "exact":
-                out += [EigenPair(max(s[0].value, 0.0), s[0].vector)
-                        for s in full_eigen_jacobi(stack)]
-            else:
-                out += top_eigenpair(stack)
+        for c in covs:
+            c = np.asarray(c, dtype=np.float64)
+            if c.ndim != 2 or c.shape[0] != c.shape[1]:
+                raise ValueError(f"expected square matrices, got {c.shape}")
+            if stack and c.shape != stack[0].shape:
+                out += solve()
+            stack.append(c)
+            if len(stack) >= _CHUNK_BYTES // max(c.nbytes, 1):
+                out += solve()
+        if stack:
+            out += solve()
     return out
 
 
-def _check_scale(chunk, start, mode):
-    # chunk holds the covariances of slices start, start + 1, ...
+def _check_scale(chunk, start, modes):
+    # chunk holds matrices start, start + 1, ... of the (mode, count) spans
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.trace(chunk, axis1=1, axis2=2)
         bad = ~(4.0 * t * t < np.inf)
     if bad.any():
         i = int(np.argmax(bad))
-        where = f"mode-{mode} slice" if mode else "matrix"
+        where = start + i
+        for mode, count in modes:
+            if where < count:
+                break
+            where -= count
+        name = f"mode-{mode} slice" if mode else "matrix"
         raise ValidationError(
-            f"{where} {start + i} is too large to solve: its covariance "
+            f"{name} {where} is too large to solve: its covariance "
             f"trace (the slice's squared norm) is {t[i]:.3e}, and 4 t^2 "
             f"must be finite (t below about 6.7e153)")

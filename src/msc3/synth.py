@@ -195,9 +195,12 @@ def truth_to_json(spec, truth):
 
 
 def truth_from_json(text):
-    """Parse a 3-dim, 3-mode truth JSON, checking every key eval reads."""
-    doc = load_json(text, "truth JSON",
-                    {"dims": [int], "modes": [{"clusters": [[int]]}]})
-    if len(doc["dims"]) != 3 or len(doc["modes"]) != 3:
-        raise ValidationError("truth JSON must hold 3 dims and 3 modes")
+    """Parse a 3-dim truth JSON of modes 1, 2, 3 in that order (eval reads
+    the entries by position), checking every key eval reads."""
+    doc = load_json(text, "truth JSON", {
+        "dims": [int], "modes": [{"mode": int, "clusters": [[int]]}]})
+    if (len(doc["dims"]) != 3
+            or [entry["mode"] for entry in doc["modes"]] != [1, 2, 3]):
+        raise ValidationError(
+            "truth JSON must hold 3 dims and modes 1, 2, 3 in order")
     return doc

@@ -322,17 +322,23 @@ def _one_mode(doc):
     del doc["modes"][1:]
 
 
+def _mode_1_relabelled(doc):
+    doc["modes"][0] = {"mode": 2, "clusters": [[5, 6, 7]]}
+
+
 @pytest.mark.parametrize("which, edit", [
     ("clusters", _no_modes),
     ("clusters", _mode_1_three_times),
     ("truth", _four_dims),
     ("truth", _two_dims),
     ("truth", _one_mode),
+    ("truth", _mode_1_relabelled),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"))
 def test_eval_rejects_documents_without_three_modes(tmp_path, capsys, which,
                                                      edit):
     # eval scored the first two as ari_mean nan and ari_mode1 1.0 three
-    # times, and the last two ended in a bare IndexError
+    # times, the next two ended in a bare IndexError, and the relabelled
+    # mode-2 entry was scored as mode 1 (ari_mode1 -0.128)
     main(_synth_args(tmp_path, truth="truth.json"))
     clusters = tmp_path / "clusters.json"
     main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
@@ -346,6 +352,25 @@ def test_eval_rejects_documents_without_three_modes(tmp_path, capsys, which,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {which} JSON must ")
+
+
+def test_eval_rejects_a_truth_without_mode_keys(tmp_path, capsys):
+    # eval reads truth entries by position, so it needs their mode keys to
+    # know which mode each one is
+    main(_synth_args(tmp_path, truth="truth.json"))
+    clusters = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(clusters)])
+    truth = tmp_path / "truth.json"
+    doc = json.loads(truth.read_text())
+    for entry in doc["modes"]:
+        del entry["mode"]
+    truth.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", str(clusters), "--truth", str(truth)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: truth JSON.modes[0] has no key 'mode'")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

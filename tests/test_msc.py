@@ -13,6 +13,7 @@ from msc3 import (
     SliceSpectra,
     SynthSpec,
     Tensor3,
+    ValidationError,
     full_eigen_jacobi,
     generate,
     initial_cluster_by_gap,
@@ -22,7 +23,9 @@ from msc3 import (
     similarity_matrix,
     slice_spectra,
     covariance,
+    run_msc_dbscan,
 )
+from msc3 import spectral
 
 # frozen direct evaluations of l*eps/2 + sqrt(ln(m-l))
 BOUND_10_50 = 1.9256455826398413
@@ -95,6 +98,51 @@ def test_slice_spectra_permutation_equivariance():
     s2 = slice_spectra(Tensor3(data[perm]), 1)
     assert np.allclose(s2.v_matrix, s1.v_matrix[:, perm], atol=1e-12)
     assert np.allclose(s2.lambdas, s1.lambdas[perm], atol=1e-12)
+
+
+def _same_spectra(a, b):
+    return (a.lambdas.tobytes() == b.lambdas.tobytes()
+            and a.v_matrix.tobytes() == b.v_matrix.tobytes())
+
+
+# a cube, and a tensor whose mode-3 covariances (20 x 20) differ in shape
+# from those of modes 1 and 2 (18 x 18)
+_SHAPES = [(12, 12, 12), (24, 20, 18)]
+
+
+@pytest.mark.parametrize("eig", ["power", "exact"])
+@pytest.mark.parametrize("dims", _SHAPES)
+def test_slice_spectra_of_three_modes_match_each_mode_alone(eig, dims,
+                                                            monkeypatch):
+    t = Tensor3(np.random.default_rng(5).standard_normal(dims))
+    want = [slice_spectra(t, mode, eig) for mode in (1, 2, 3)]
+    got = [slice_spectra(t, (1, 2, 3), eig)]
+    # stacks of 5 18 x 18 or 12 x 12 matrices: mode 1 ends inside a stack,
+    # which mode 2's first matrices then fill
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * dims[2] ** 2)
+    got.append(slice_spectra(t, (1, 2, 3), eig))
+    for spectra in got:
+        assert len(spectra) == 3
+        assert all(_same_spectra(a, b) for a, b in zip(spectra, want))
+
+
+@pytest.mark.parametrize("eig", ["power", "exact"])
+@pytest.mark.parametrize("dims", _SHAPES)
+def test_one_pass_names_a_huge_slice_within_its_mode(eig, dims, monkeypatch):
+    # the m1 entries (i, 3, 5) at 3.2e76 put 1.0e153 in each mode-1 slice's
+    # squared norm, under the 6.7e153 limit, but m1 times that in mode-2
+    # slice 3 and mode-3 slice 5
+    data = np.random.default_rng(6).standard_normal(dims)
+    data[:, 3, 5] = 10.0 ** 76.5
+    t = Tensor3(data)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * dims[2] ** 2)
+    for call in (lambda: slice_spectra(t, (1, 2, 3), eig),
+                 lambda: run_msc_dbscan(t, 0.1, eig)):
+        with pytest.raises(ValidationError, match="^mode-2 slice 3 "):
+            call()
+    slice_spectra(t, 1, eig)
+    with pytest.raises(ValidationError, match="^mode-3 slice 5 "):
+        slice_spectra(t, (1, 3), eig)
 
 
 def test_slice_spectra_zero_tensor_degenerate():

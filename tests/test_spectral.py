@@ -21,7 +21,7 @@ from msc3 import (
     top_eigen,
     top_eigenpair,
 )
-from msc3 import blas, spectral
+from msc3 import blas, pipeline, spectral
 from msc3.cli import main
 from msc3.spectral import _round_robin
 
@@ -434,6 +434,69 @@ def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
     assert main(["cluster", path]) == 2
     assert capsys.readouterr().err.startswith(
         "error: mode-1 slice 10 is too large")
+
+
+def _counted(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_an_exact_iterated_run_calls_jacobi_once_a_round(tmp_path, capsys,
+                                                        monkeypatch):
+    # the three modes of each round share one stack
+    path = str(tmp_path / "t.csv")
+    assert main(["synth", "--dims", "16,16,16", "--rank", "3",
+                 "--cluster-size", "4", "--gamma", "160,120,90", "--seed", "0",
+                 "--format", "csv", "-o", path]) == 0
+    calls = []
+    _counted(monkeypatch, spectral, "full_eigen_jacobi", calls)
+    _counted(monkeypatch, pipeline, "run_msc", calls)
+    assert main(["cluster", path, "--format", "csv", "--method",
+                 "msc-iterated", "--eig", "exact"]) == 0
+    capsys.readouterr()
+    assert calls.count("run_msc") >= 3
+    assert calls == ["run_msc", "full_eigen_jacobi"] * calls.count("run_msc")
+
+
+def test_a_power_run_calls_top_eigenpair_once(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "t.t3b")
+    t = generate(benchmark_spec(40.0, 0, dims=(12, 12, 12), cluster_size=3))[0]
+    save_tensor(t, path)
+    calls = []
+    _counted(monkeypatch, spectral, "top_eigenpair", calls)
+    assert main(["cluster", path]) == 0
+    capsys.readouterr()
+    assert calls == ["top_eigenpair"]
+
+
+def test_top_eigen_ends_a_stack_at_a_change_of_shape(monkeypatch):
+    # 44 matrices of 6 x 6 in stacks of 5 (the budget), then 18 of 4 x 4 in
+    # stacks of 11; each matrix gets the bits it gets alone
+    mats = ([random_psd(6, seed=500 + i) for i in range(44)]
+            + [random_psd(4, seed=600 + i) for i in range(18)])
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * 6 * 6)
+    for method, name in (("power", "top_eigenpair"),
+                         ("exact", "full_eigen_jacobi")):
+        solve, sizes = getattr(spectral, name), []
+
+        def traced(stack):
+            sizes.append(stack.shape)
+            return solve(stack)
+
+        monkeypatch.setattr(spectral, name, traced)
+        got = top_eigen(iter(mats), method)
+        monkeypatch.setattr(spectral, name, solve)
+        assert sizes == [(5, 6, 6)] * 8 + [(4, 6, 6), (11, 4, 4), (7, 4, 4)]
+        want = [solve(c) for c in mats]
+        if method == "exact":
+            want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
+                    for s in want]
+        assert _same_pairs(got, want)
 
 
 @pytest.fixture
