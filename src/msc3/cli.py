@@ -77,7 +77,14 @@ def _parse_gamma_range(text):
     return out
 
 
+def _distinct_outputs(a, b):
+    # a command's two output files, b optional, must not overwrite each other
+    if b and os.path.realpath(a) == os.path.realpath(b):
+        raise ValueError(f"output paths {a} and {b} name one file")
+
+
 def cmd_synth(args):
+    _distinct_outputs(args.out, args.truth)
     dims = _parse_dims(args.dims)
     spec = benchmark_spec([number(p) for p in args.gamma.split(",")], args.seed,
                           dims=dims, cluster_size=args.cluster_size,
@@ -206,6 +213,9 @@ def cmd_sweep(args):
     if len(gammas) * args.runs > _MAX_CELLS:
         raise ValueError(f"{len(gammas)} gammas x {args.runs} runs is over "
                          f"{_MAX_CELLS} cells")
+    root, ext = os.path.splitext(args.out)
+    agg_path = args.aggregate or f"{root}_agg{ext or '.csv'}"
+    _distinct_outputs(args.out, agg_path)
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
     tasks = [
@@ -226,8 +236,6 @@ def cmd_sweep(args):
         for row in ordered:
             fh.write(_format_row(row) + "\n")
 
-    root, ext = os.path.splitext(args.out)
-    agg_path = args.aggregate or f"{root}_agg{ext or '.csv'}"
     with open(agg_path, "w") as fh:
         fh.write(AGGREGATE_HEADER + "\n")
         for g in gammas:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoGapError
+from .blas import blas_held
+from .errors import DegenerateInputError, NoGapError, ValidationError
 from .spectral import covariance, top_eigen
 from .tensor import _mode_axis
 
@@ -104,33 +105,41 @@ def _check_marginals(d):
     return d
 
 
-def _slice_count(t, mode):
-    # the number of slices along mode; the spectra need 3 or more
-    m = t.dims[_mode_axis(mode)]
-    if m < 3:
-        raise ValueError(f"mode-{mode} needs at least 3 slices, got {m}")
-    return m
-
-
 def slice_spectra(t, mode, eig="power"):
     """Top eigenpair of every slice covariance along one mode, by route eig.
 
     mode may also be a tuple of modes. One top_eigen call then solves the
     covariances of all of them, in mode order, and a list of one
     SliceSpectra per mode is returned, each bit for bit what its mode gets
-    alone. Every mode's slice count is checked before any solve.
+    alone. Every mode's slice count is checked before any solve, and each
+    slice as its covariance is built: a covariance trace t (the slice's
+    squared norm) failing 4 t^2 < inf raises ValidationError naming it.
     Raises DegenerateInputError when all slices of a mode are zero (nothing
     to normalize against).
     """
     modes = mode if isinstance(mode, tuple) else (mode,)
-    spans = [(k, _slice_count(t, k)) for k in modes]
-    pairs = top_eigen((covariance(t.slice(k, i))
-                       for k, m in spans for i in range(m)), eig, mode=spans)
-    spectra, start = [], 0
+    spans = [(k, t.dims[_mode_axis(k)]) for k in modes]
     for k, m in spans:
-        spectra.append(_normalized(pairs[start:start + m], k))
-        start += m
+        if m < 3:
+            raise ValueError(f"mode-{k} needs at least 3 slices, got {m}")
+    pairs = iter(top_eigen((_solvable(covariance(t.slice(k, i)), k, i)
+                            for k, m in spans for i in range(m)), eig))
+    spectra = [_normalized([next(pairs) for _ in range(m)], k)
+               for k, m in spans]
     return spectra if isinstance(mode, tuple) else spectra[0]
+
+
+def _solvable(c, mode, i):
+    # c, the covariance of mode-{mode} slice i, if its trace t passes
+    # 4 t^2 < inf: t bounds a PSD matrix's ||C||_F, lambda and ||C v||, so no
+    # squared norm a solver forms overflows. Python floats overflow silently.
+    t = sum(c.diagonal().tolist())
+    if not 4.0 * t * t < math.inf:
+        raise ValidationError(
+            f"mode-{mode} slice {i} is too large to solve: its covariance "
+            f"trace (the slice's squared norm) is {t:.3e}, and 4 t^2 "
+            f"must be finite (t below about 6.7e153)")
+    return c
 
 
 def _normalized(pairs, mode):
@@ -212,8 +221,8 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
 
 
 def mode_spectra(t, modes, epsilon, eig="power"):
-    """Check epsilon and the slice count of each mode, in mode order, then
-    solve the slices of every mode in one slice_spectra pass.
+    """Check epsilon against each mode's size, in mode order, then solve
+    the slices of every mode in one slice_spectra pass.
 
     Returns one SliceSpectra per mode. epsilon must be finite and positive,
     and not so large that the spread bound at a mode's full size m
@@ -221,7 +230,6 @@ def mode_spectra(t, modes, epsilon, eig="power"):
     """
     for mode in modes:
         _check_epsilon(epsilon, t.dims[_mode_axis(mode)])
-        _slice_count(t, mode)
     return slice_spectra(t, tuple(modes), eig)
 
 
@@ -247,6 +255,7 @@ def msc_stage(t, mode, spectra, epsilon):
                    strength_ratio=spectra.lambda_max / baseline)
 
 
+@blas_held()
 def msc_mode(t, mode, epsilon, eig="power"):
     """Full single-mode run: spectra (mode_spectra), then msc_stage.
 

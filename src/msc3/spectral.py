@@ -24,7 +24,6 @@ whole stack on the calling thread, with numpy's OpenBLAS held at one thread
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +56,20 @@ def covariance(m):
     A^T A with BLAS syrk on one triangle and copies it to the other, and
     its own loop sums entries (i, j) and (j, i) in one order, each sum
     starting from +0.0. Entries that overflow come back as inf without a
-    warning; top_eigen rejects them by their trace.
+    warning; slice_spectra (by the trace) and the solvers reject them.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or min(m.shape) < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         return m.T @ m
+
+
+class _MatrixError(ValidationError):
+    # matrix index of a stack failed the solvers' input check
+    def __init__(self, index, problem):
+        super().__init__(f"matrix {index} {problem}")
+        self.index, self.problem = index, problem
 
 
 def _symmetric_stack(c):
@@ -79,13 +85,14 @@ def _symmetric_stack(c):
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~(4.0 * np.einsum("kij,kij->k", a, a) < np.inf)
     if bad.any():
-        raise ValidationError(f"matrix {int(np.argmax(bad))} has NaN or Inf "
-                              "entries, or 4 ||C||_F^2 overflows")
+        raise _MatrixError(np.argmax(bad), "has NaN or Inf entries, or "
+                           "4 ||C||_F^2 overflows")
     if a.shape[-1] > 1 and a.size:
         # one temporary: the difference, made absolute in place
         d = a - np.swapaxes(a, -1, -2)
-        if np.abs(d, out=d).max() > 1e-9:
-            raise ValidationError("matrix is not symmetric within 1e-9")
+        bad = np.abs(d, out=d).max(axis=(1, 2)) > 1e-9
+        if bad.any():
+            raise _MatrixError(np.argmax(bad), "is not symmetric within 1e-9")
     return a, single
 
 
@@ -287,7 +294,7 @@ def _offdiag_norms(a):
     return np.sqrt(sq.reshape(len(sq), d.size * d.size).sum(axis=1))
 
 
-def top_eigen(covs, eig="power", mode=None):
+def top_eigen(covs, eig="power"):
     """Top eigenpair of each matrix in covs by the route eig names.
 
     eig is one of EIG_ROUTES: 'power' (LAPACK, the name kept for
@@ -301,30 +308,24 @@ def top_eigen(covs, eig="power", mode=None):
     top_eigenpair call, 'exact' with one full_eigen_jacobi call, clamping
     each top eigenvalue at 0. numpy's OpenBLAS is held at one thread
     throughout (blas.blas_held).
-    Before either solves a stack, a covariance whose trace t fails
-    4 t^2 < inf raises ValidationError naming it: for a PSD matrix t bounds
-    ||C||_F, lambda and ||C v||, so below that limit no squared norm either
-    solver forms can overflow. mode names the covariances: None gives
-    "matrix i", a mode number "mode-{mode} slice i", and a sequence of
-    (mode, count) pairs gives the first count matrices to the first mode,
-    and so on, i counting within each mode.
-    Items that are not square matrices raise ValueError.
+    Items that are not square matrices raise ValueError; a matrix that the
+    solvers reject raises their ValidationError, as "matrix i" of covs.
     Returns a list with one EigenPair per matrix.
     """
     if eig not in EIG_ROUTES:
         raise ValueError(f"unknown eig route {eig!r}")
-    if np.ndim(mode) == 0:
-        mode = [(mode, math.inf)]
     out, stack = [], []
 
     def solve():
         a = np.stack(stack)
         stack.clear()
-        _check_scale(a, len(out), mode)
-        if eig == "exact":
-            return [EigenPair(max(s[0].value, 0.0), s[0].vector)
-                    for s in full_eigen_jacobi(a)]
-        return top_eigenpair(a)
+        try:
+            if eig == "exact":
+                return [EigenPair(max(s[0].value, 0.0), s[0].vector)
+                        for s in full_eigen_jacobi(a)]
+            return top_eigenpair(a)
+        except _MatrixError as e:
+            raise _MatrixError(len(out) + e.index, e.problem) from None
 
     with blas.blas_held():
         for c in covs:
@@ -339,22 +340,3 @@ def top_eigen(covs, eig="power", mode=None):
         if stack:
             out += solve()
     return out
-
-
-def _check_scale(chunk, start, modes):
-    # chunk holds matrices start, start + 1, ... of the (mode, count) spans
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.trace(chunk, axis1=1, axis2=2)
-        bad = ~(4.0 * t * t < np.inf)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = start + i
-        for mode, count in modes:
-            if where < count:
-                break
-            where -= count
-        name = f"mode-{mode} slice" if mode else "matrix"
-        raise ValidationError(
-            f"{name} {where} is too large to solve: its covariance "
-            f"trace (the slice's squared norm) is {t[i]:.3e}, and 4 t^2 "
-            f"must be finite (t below about 6.7e153)")

@@ -1,5 +1,5 @@
-"""numpy's OpenBLAS held at one thread across threads and processes, and
-output across BLAS thread counts.
+"""numpy's OpenBLAS held at one thread across threads and processes,
+output across BLAS thread counts, and a run that needs no scipy.
 
 The process checks run in a fresh interpreter, so that the thread count
 numpy's OpenBLAS starts with is the one under test rather than whatever the
@@ -60,6 +60,43 @@ def test_cluster_output_does_not_depend_on_blas_threads(tmp_path):
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+@needs_control
+def test_msc_mode_does_not_depend_on_blas_threads(tmp_path):
+    # msc_mode formed V^T V outside the hold, so with two OpenBLAS threads
+    # its d differed from one thread's in the last bits
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(60.0, 0, dims=(100, 100, 100)))[0],
+                path)
+    code = f"""
+        from msc3 import load_tensor, msc_mode
+        t = load_tensor({path!r})
+        for mode in (1, 2, 3):
+            print(msc_mode(t, mode, 0.1).d.tobytes().hex())
+    """
+    runs = [_python(code, 120, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_a_cluster_run_loads_no_scipy(tmp_path):
+    # numpy is the one runtime dependency; scipy is a test extra, so a
+    # stray import of it would pass every in-process test
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(30.0, 0, dims=(12, 12, 12),
+                                        cluster_size=3))[0], path)
+    code = f"""
+        import contextlib, io, sys
+        from msc3.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cluster", {path!r}]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    proc = _python(code, 120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
 
 
 @needs_control

@@ -744,3 +744,34 @@ def test_memory_error_without_a_message_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_synth", fail)
     assert main(["synth", "--dims", "5,5,5", "--gamma", "1", "-o", "x"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_synth_truth_onto_the_tensor_exits_2(tmp_path, capsys):
+    # the truth JSON overwrote the tensor, which then failed to load
+    rc = main(_synth_args(tmp_path, truth="t.t3b"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: output paths ")
+    assert not (tmp_path / "t.t3b").exists()
+
+
+@pytest.mark.parametrize("aggregate", ["same", "dotted", "symlink"])
+def test_sweep_aggregate_onto_the_results_exits_2_at_once(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          aggregate):
+    # the aggregate CSV overwrote the results CSV, and the run exited 0
+    def fail(task):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_one", fail)
+    out = tmp_path / "s.csv"
+    (tmp_path / "sub").mkdir()
+    agg = {"same": out, "dotted": tmp_path / "sub" / ".." / "s.csv",
+           "symlink": tmp_path / "link.csv"}[aggregate]
+    if aggregate == "symlink":
+        agg.symlink_to(out)
+    rc = main(["sweep", "--gamma", "20:20:5", "--runs", "1", "--dims",
+               "12,12,12", "--cluster-size", "3", "-o", str(out),
+               "--aggregate", str(agg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: output paths ")
+    assert not out.exists()

@@ -145,6 +145,21 @@ def test_one_pass_names_a_huge_slice_within_its_mode(eig, dims, monkeypatch):
         slice_spectra(t, (1, 3), eig)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eig", ["power", "exact"])
+def test_slice_spectra_rejects_a_slice_at_the_squared_norm_limit(eig):
+    # one entry of mode-1 slice 4 sets that slice's squared norm t, the
+    # trace of its covariance: 4 t^2 < inf holds at 6.7e153, not at 6.8e153
+    def tensor(t):
+        data = np.random.default_rng(8).standard_normal((8, 7, 6))
+        data[4, 2, 3] = math.sqrt(t)
+        return Tensor3(data)
+
+    slice_spectra(tensor(6.7e153), (1, 2, 3), eig)
+    with pytest.raises(ValidationError, match="^mode-1 slice 4 "):
+        slice_spectra(tensor(6.8e153), (1, 2, 3), eig)
+
+
 def test_slice_spectra_zero_tensor_degenerate():
     with pytest.raises(DegenerateInputError):
         slice_spectra(Tensor3(np.zeros((4, 4, 4))), 1)

@@ -411,17 +411,6 @@ def test_top_eigenpair_parts_of_a_stack_match_solo_solves():
     assert top_eigenpair(np.zeros((0, 6, 6))) == []
 
 
-@pytest.mark.parametrize("method", ["power", "exact"])
-def test_top_eigen_huge_slice_in_a_late_chunk_names_it_on_the_pool(
-        method, monkeypatch):
-    mats = _mode_of_covs()
-    mats[20] = np.diag([6.8e153] + [0.0] * 5)
-    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
-    with pytest.raises(ValidationError) as err:
-        top_eigen(iter(mats), method, mode=2)
-    assert str(err.value).startswith("mode-2 slice 20 is too large")
-
-
 @pytest.mark.parametrize("per_chunk", [1, 2])
 def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
         per_chunk, tmp_path, capsys, monkeypatch):
@@ -650,10 +639,23 @@ def test_top_eigen_rejects_a_trace_whose_square_overflows(method):
     top_eigen([ok], method)
     for t in (6.8e153, np.inf):
         covs = [np.eye(2), np.eye(2), np.diag([t, 0.0])]
-        with pytest.raises(ValidationError, match="^mode-3 slice 2 "):
-            top_eigen(covs, method, mode=3)
         with pytest.raises(ValidationError, match="^matrix 2 "):
             top_eigen(covs, method)
+
+
+@pytest.mark.parametrize("method", ["power", "exact"])
+@pytest.mark.parametrize("bad,problem", [
+    ([[0.0, 1e160], [1e160, 0.0]], "has NaN or Inf"),
+    ([[0.0, 1.0], [2.0, 0.0]], "is not symmetric"),
+], ids=["overflow", "asymmetric"])
+def test_top_eigen_names_a_rejected_matrix_within_covs(method, bad, problem,
+                                                       monkeypatch):
+    # stacks of 2: matrix 5 is matrix 1 of the third stack, which the
+    # solvers named "matrix 1", or named no matrix when not symmetric
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+    covs = [np.eye(2)] * 5 + [np.array(bad)]
+    with pytest.raises(ValidationError, match=f"^matrix 5 {problem}"):
+        top_eigen(covs, method)
 
 
 @pytest.mark.filterwarnings("error")
