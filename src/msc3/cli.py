@@ -77,14 +77,22 @@ def _parse_gamma_range(text):
     return out
 
 
-def _distinct_outputs(a, b):
-    # a command's two output files, b optional, must not overwrite each other
-    if b and os.path.realpath(a) == os.path.realpath(b):
-        raise ValueError(f"output paths {a} and {b} name one file")
+def _distinct_outputs(outputs, inputs=()):
+    # no output file of a command may overwrite one of its inputs or another
+    # of its outputs; unset (None) paths are skipped
+    ins = {os.path.realpath(p): p for p in inputs if p}
+    outs = {}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in ins:
+            raise ValueError(f"output path {path} and input {ins[real]} name one file")
+        if real in outs:
+            raise ValueError(f"output paths {outs[real]} and {path} name one file")
+        outs[real] = path
 
 
 def cmd_synth(args):
-    _distinct_outputs(args.out, args.truth)
+    _distinct_outputs([args.out, args.truth])
     dims = _parse_dims(args.dims)
     spec = benchmark_spec([number(p) for p in args.gamma.split(",")], args.seed,
                           dims=dims, cluster_size=args.cluster_size,
@@ -103,6 +111,7 @@ def cmd_synth(args):
 
 
 def cmd_cluster(args):
+    _distinct_outputs([args.out], [args.input])
     t = load_tensor(args.input, fmt=args.format)
     run = METHODS[args.method]
     modes, triset = run(t, args.epsilon, args.eig)
@@ -121,6 +130,7 @@ def cmd_cluster(args):
 
 
 def cmd_eval(args):
+    _distinct_outputs([args.out], [args.clusters, args.truth, args.tensor])
     with open(args.clusters, "rb") as fh:
         pred = clusters_from_json(fh.read())
     lines = []
@@ -215,7 +225,7 @@ def cmd_sweep(args):
                          f"{_MAX_CELLS} cells")
     root, ext = os.path.splitext(args.out)
     agg_path = args.aggregate or f"{root}_agg{ext or '.csv'}"
-    _distinct_outputs(args.out, agg_path)
+    _distinct_outputs([args.out, agg_path])
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
     tasks = [
@@ -223,9 +233,11 @@ def cmd_sweep(args):
         for g in gammas
         for s in seeds
     ]
-    if args.jobs > 1:
+    # the pool starts all its workers at once: no more than cells or cores
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         # each job's runs hold BLAS at one thread, so N jobs use N threads
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_sweep_one, tasks))
     else:
         cells = map(_sweep_one, tasks)

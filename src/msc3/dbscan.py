@@ -3,7 +3,7 @@
 The clustering pass is written from scratch (no library implementation) so
 its every tie-break is pinned down: neighborhoods are closed balls
 (distance <= radius, the point itself counted), seed points are scanned in
-index order, clusters expand through a FIFO queue, and cluster ids are
+index order, a point is labelled when first reached, and cluster ids are
 assigned in discovery order.
 
 Neighborhoods come from one Gram product per block of points, and any
@@ -16,7 +16,6 @@ expression gives, on any BLAS build and at any BLAS thread count.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,11 @@ import numpy as np
 from .msc import _check_epsilon, _check_members, marginal_spread_bound
 
 NOISE = -1
-UNVISITED = -2
 
 
 # float64 bytes a neighborhood row block keeps alive: its Gram product and
-# its tolerance, about 24 bytes per pair with the masks
+# its tolerance, about 24 bytes per pair with the masks; the (n, n) boolean
+# neighbor matrix the blocks fill holds n^2 bytes besides
 _BLOCK_BYTES = 1 << 20
 
 
@@ -37,8 +36,10 @@ def dbscan(points, radius, minpts):
 
     A core point has at least minpts points (itself included) within the
     closed radius. Clusters are the maximal density-connected sets; points
-    in no cluster get the NOISE label (-1). Returns an int array of labels
-    with cluster ids contiguous from 0 in discovery order.
+    in no cluster get the NOISE label (-1). Seeds are scanned in index
+    order and a point is labelled when first reached, so a border point
+    within reach of two clusters joins the earlier one. Returns an int
+    array of labels with cluster ids contiguous from 0 in discovery order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
@@ -52,44 +53,39 @@ def dbscan(points, radius, minpts):
     if not minpts >= 1:
         raise ValueError("minpts must be at least 1")
     n = pts.shape[0]
-    neighbors = _neighborhoods(pts, radius)
-    core = np.array([len(nb) >= minpts for nb in neighbors])
+    near = _neighborhoods(pts, radius)
+    core = np.count_nonzero(near, axis=1) >= minpts
 
-    labels = np.full(n, UNVISITED, dtype=int)
+    labels = np.full(n, NOISE, dtype=int)
+    # in no cluster yet; noise stays free, a core may claim it as a border
+    free = np.ones(n, dtype=bool)
     cid = 0
-    for i in range(n):
-        if labels[i] != UNVISITED:
-            continue
-        if not core[i]:
-            labels[i] = NOISE
+    for i in np.flatnonzero(core):
+        if not free[i]:
             continue
         labels[i] = cid
-        nb = neighbors[i]
-        queue = deque(nb[nb != i].tolist())
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cid  # border point reached from a core
-            if labels[j] != UNVISITED:
-                continue
-            labels[j] = cid
-            if core[j]:
-                # labels < 0 is UNVISITED or NOISE: noise-labeled neighbors
-                # stay eligible, they may still be claimed as border points
-                nb = neighbors[j]
-                queue.extend(nb[labels[nb] < 0].tolist())
+        free[i] = False
+        stack = [i]
+        while stack:
+            reached = np.flatnonzero(near[stack.pop()] & free)
+            labels[reached] = cid
+            free[reached] = False
+            stack += reached[core[reached]].tolist()
         cid += 1
     return labels
 
 
 def _neighborhoods(pts, radius):
-    """Closed-ball neighbor indices of each point, ascending.
+    """Closed-ball neighbor matrix: an (n, n) boolean array, n^2 bytes.
 
-    j is a neighbor of i exactly when the row expression
+    near[i, j] holds exactly when the row expression
     sqrt(sum((x_j - x_i)**2)) <= radius holds in floating point. The Gram
-    value s = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, one matmul per block of rows,
-    decides a pair only when |s - r^2| > tau; every other pair, including
-    any with a non-finite s or tau, is decided by the row expression.
+    value s = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, one matmul per block of rows
+    over the columns from the block's first row on, decides a pair only
+    when |s - r^2| > tau; every other pair, including any with a
+    non-finite s or tau, is decided by the row expression. Both tests are
+    symmetric (x_j - x_i is -(x_i - x_j) bit for bit), so each block is
+    mirrored below the diagonal.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms,
     3.1): with unit roundoff u, a = |x_i|, b = |x_j| and D the exact squared
@@ -112,17 +108,17 @@ def _neighborhoods(pts, radius):
     sq = np.einsum("ij,ij->i", pts, pts)
     norm = np.sqrt(sq)
     rows = max(1, _BLOCK_BYTES // (24 * n))
-    neighbors = []
+    out = np.empty((n, n), dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            s = pts[lo:hi] @ pts.T
+            s = pts[lo:hi] @ pts[lo:].T
             s *= -2.0
             s += sq[lo:hi, None]
-            s += sq
+            s += sq[lo:]
             s -= r2
             near = s < 0
-            tau = norm[lo:hi, None] + norm
+            tau = norm[lo:hi, None] + norm[lo:]
             tau *= tau
             tau += r2
             tau *= 4 * (m + 8) * fp.eps
@@ -131,10 +127,11 @@ def _neighborhoods(pts, radius):
             near &= decided
             for k in np.flatnonzero(~decided.all(axis=1)):
                 amb = np.flatnonzero(~decided[k])
-                diff = pts[amb] - pts[lo + k]
+                diff = pts[lo + amb] - pts[lo + k]
                 near[k, amb] = np.sqrt((diff * diff).sum(axis=1)) <= radius
-            neighbors += [np.flatnonzero(row) for row in near]
-    return neighbors
+            out[lo:hi, lo:] = near
+            out[lo:, lo:hi] = near.T
+    return out
 
 
 def derived_radius(l, epsilon, m):

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written by a different route than the
 production code: ARI by brute-force pair counting instead of a contingency
-table, density clustering by reachability closure instead of queue expansion,
-DBSCAN neighborhoods one point at a time by the row expression
-sqrt(sum((x_j - x_i)**2)) <= radius instead of a Gram product
-(row_dbscan: the rule whose every floating-point decision dbscan must
-reproduce, with dbscan's tie rules), and synthetic tensors by the one-shot
-formulas (the Box-Muller transform over the whole uniform draw, then
-signal + noise_scale * z with the full signal tensor) instead of in place.
+table, density clustering by reachability closure instead of growing each
+cluster from its core points, DBSCAN neighborhoods one point at a time by
+the row expression sqrt(sum((x_j - x_i)**2)) <= radius instead of Gram
+products mirrored into a boolean matrix (row_dbscan: the rule whose every
+floating-point decision dbscan must reproduce, with dbscan's tie rules,
+reached by a FIFO queue of neighbor indices that labels a point when it
+is popped, where dbscan labels it when first reached), and synthetic
+tensors by the one-shot formulas (the Box-Muller transform over the whole
+uniform draw, then signal + noise_scale * z with the full signal tensor)
+instead of in place.
 Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
 eigenpair route does, so the independent eigen oracle is the Jacobi solver
 (spectral.full_eigen_jacobi, round-robin ordering, numpy only), which

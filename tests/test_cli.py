@@ -775,3 +775,63 @@ def test_sweep_aggregate_onto_the_results_exits_2_at_once(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: output paths ")
     assert not out.exists()
+
+
+def test_cluster_output_onto_its_input_exits_2(tmp_path, capsys):
+    # the clusters JSON overwrote the tensor, and the next run failed with
+    # bad magic
+    main(_synth_args(tmp_path))
+    tensor = tmp_path / "t.t3b"
+    before = tensor.read_bytes()
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    rc = main(["cluster", str(tensor), "-o", str(tmp_path / "sub" / ".." / "t.t3b")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: output path ")
+    assert tensor.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["clusters.json", "truth.json", "t.t3b"])
+def test_eval_output_onto_one_of_its_inputs_exits_2(tmp_path, capsys, target):
+    # the metrics CSV replaced the clusters JSON, the truth or the tensor
+    main(_synth_args(tmp_path, truth="truth.json"))
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(tmp_path / "clusters.json")])
+    before = (tmp_path / target).read_bytes()
+    capsys.readouterr()
+    rc = main(["eval", str(tmp_path / "clusters.json"), "--truth",
+               str(tmp_path / "truth.json"), "--tensor", str(tmp_path / "t.t3b"),
+               "-o", str(tmp_path / target)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output path ")
+    assert captured.out == ""
+    assert (tmp_path / target).read_bytes() == before
+
+
+@pytest.mark.parametrize("gamma, cpus, want", [
+    ("20:20:5", 8, None), ("20:30:5", 8, 3), ("20:30:5", 2, 2)])
+def test_sweep_asks_for_no_more_workers_than_cells_or_cores(
+        tmp_path, capsys, monkeypatch, gamma, cpus, want):
+    # the pool forks all max_workers processes at once, even for one cell
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rc = main(["sweep", "--gamma", gamma, "--runs", "1", "--dims", "12,12,12",
+               "--cluster-size", "3", "--jobs", "64", "-o", str(tmp_path / "s.csv")])
+    capsys.readouterr()
+    assert rc == 0
+    assert asked == ([] if want is None else [want])

@@ -26,7 +26,7 @@ dbscan_module = importlib.import_module("msc3.dbscan")
 def _assert_matches_rows(pts, radius, minpts=2):
     ours = dbscan_module._neighborhoods(np.asarray(pts, dtype=float), radius)
     ref = row_neighborhoods(pts, radius)
-    assert [nb.tolist() for nb in ours] == [nb.tolist() for nb in ref]
+    assert [np.flatnonzero(row).tolist() for row in ours] == [nb.tolist() for nb in ref]
     assert list(dbscan(pts, radius, minpts)) == row_dbscan(pts, radius, minpts)
     return ref
 
@@ -107,7 +107,49 @@ def test_neighborhoods_do_not_depend_on_the_block_size(monkeypatch):
     for budget in (1, 24 * 70 * 9, 1 << 30):
         monkeypatch.setattr(dbscan_module, "_BLOCK_BYTES", budget)
         ours = dbscan_module._neighborhoods(pts, 1.0)
-        assert [nb.tolist() for nb in ours] == ref
+        assert [np.flatnonzero(row).tolist() for row in ours] == ref
+
+
+def test_neighborhoods_are_one_symmetric_boolean_matrix(monkeypatch):
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((90, 5))
+    for budget in (1, 24 * 90 * 7, 1 << 30):
+        monkeypatch.setattr(dbscan_module, "_BLOCK_BYTES", budget)
+        near = dbscan_module._neighborhoods(pts, 2.5)
+        assert near.dtype == bool and near.shape == (90, 90)
+        assert (near == near.T).all() and near.diagonal().all()
+        assert 0 < near.sum() < 90 * 90
+
+
+@pytest.mark.parametrize("border_first", [False, True])
+def test_a_border_point_of_two_clusters_takes_the_lower_id(border_first):
+    # b = 0 is within radius 1 of the cores -1 and 1 only, so it is no core
+    # at minpts 4 but a border point of both clusters. (At minpts 3 any point
+    # next to two cores is a core itself and joins them.)
+    left = [-3.0, -2.5, -2.0, -1.5, -1.0]
+    right = [1.0, 1.5, 2.0, 2.5, 3.0]
+    xs = [0.0] + right + left if border_first else right + [0.0] + left
+    pts = np.array(xs)[:, None]
+    labels = list(dbscan(pts, 1.0, 4))
+    assert labels == row_dbscan(pts, 1.0, 4)
+    b = xs.index(0.0)
+    assert labels[b] == labels[xs.index(1.0)] == 0
+    assert labels[xs.index(-1.0)] == 1
+
+
+def test_a_500_point_chain_gets_the_oracle_labels():
+    # a jittered 3-D line, unit steps with a few wide gaps: every core
+    # reaches only its two chain neighbors, the longest core graph. Point
+    # 120 stands alone; the other gaps cut four chains
+    rng = np.random.default_rng(11)
+    steps = 1.0 + rng.uniform(-0.05, 0.05, size=500)
+    steps[[120, 121, 300, 420]] = 2.5
+    t = np.cumsum(steps)
+    pts = np.outer(t, [0.48, 0.6, 0.64]) + rng.uniform(-0.01, 0.01, size=(500, 3))
+    for minpts in (2, 3):
+        labels = dbscan(pts, 1.8, minpts)
+        assert list(labels) == row_dbscan(pts, 1.8, minpts)
+        assert labels.max() == 3 and labels[120] == -1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,18 @@
-"""Peak memory of making, writing and reading a tensor, by tracemalloc.
+"""Peak memory of making, writing and reading a tensor, and of a density
+split, by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
-every tensor-sized copy. Each bound is a ratio to the tensor's own bytes at
-100^3 (8 MB), or at 40^3 for the slower csv reader.
+every tensor-sized copy. Each tensor bound is a ratio to the tensor's own
+bytes at 100^3 (8 MB), or at 40^3 for the slower csv reader.
 """
 
+import importlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from msc3 import benchmark_spec, generate, load_tensor, save_tensor
+from msc3 import benchmark_spec, dbscan, generate, load_tensor, save_tensor
 
 DIMS = (100, 100, 100)
 NBYTES = 8 * 100 ** 3
@@ -67,3 +70,16 @@ def test_load_csv_parses_into_one_tensor_sized_buffer(tmp_path):
     ratio, loaded = _peak_ratio(lambda: load_tensor(path, fmt="csv"))
     assert ratio * NBYTES <= 1.3 * t.data.nbytes
     assert loaded.data.tobytes() == t.data.tobytes()
+
+
+def test_dbscan_of_two_dense_blobs_keeps_one_neighbor_matrix():
+    # each point reaches its whole 1000-point blob: a queue of neighbor
+    # indices per pop, and one index array per point, peaked at 34.9 MiB
+    block = importlib.import_module("msc3.dbscan")._BLOCK_BYTES
+    rng = np.random.default_rng(4)
+    pts = 0.01 * rng.standard_normal((2000, 400))
+    pts[1000:, 0] += 10.0
+    dbscan(pts[:10], 1.0, 2)
+    ratio, labels = _peak_ratio(lambda: dbscan(pts, 1.0, 2))
+    assert ratio * NBYTES <= 2000 ** 2 + 4 * block
+    assert np.bincount(labels).tolist() == [1000, 1000]
