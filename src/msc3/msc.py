@@ -220,19 +220,6 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     return MscResult(mode=mode, cluster=cluster, d=d, bound=bound)
 
 
-def mode_spectra(t, modes, epsilon, eig="power"):
-    """Check epsilon against each mode's size, in mode order, then solve
-    the slices of every mode in one slice_spectra pass.
-
-    Returns one SliceSpectra per mode. epsilon must be finite and positive,
-    and not so large that the spread bound at a mode's full size m
-    overflows (ValueError).
-    """
-    for mode in modes:
-        _check_epsilon(epsilon, t.dims[_mode_axis(mode)])
-    return slice_spectra(t, tuple(modes), eig)
-
-
 def msc_stage(t, mode, spectra, epsilon):
     """One mode's stage after its spectra: similarity, gap seed, refinement.
 
@@ -255,12 +242,32 @@ def msc_stage(t, mode, spectra, epsilon):
                    strength_ratio=spectra.lambda_max / baseline)
 
 
+def mode_stages(t, modes, epsilon, eig="power", gapless=False):
+    """One round: msc_stage on each of modes, from one slice_spectra pass.
+
+    epsilon is checked against each mode's size, in mode order, before any
+    solve (ValueError). A gapless mode raises NoGapError, or with
+    gapless=True gives the empty result MscResult(mode, (), d, 0.0).
+    """
+    for mode in modes:
+        _check_epsilon(epsilon, t.dims[_mode_axis(mode)])
+    results = []
+    for mode, spectra in zip(modes, slice_spectra(t, tuple(modes), eig)):
+        try:
+            results.append(msc_stage(t, mode, spectra, epsilon))
+        except NoGapError as e:
+            if not gapless:
+                raise
+            results.append(MscResult(mode=mode, cluster=(), d=e.d, bound=0.0))
+    return results
+
+
 @blas_held()
 def msc_mode(t, mode, epsilon, eig="power"):
-    """Full single-mode run: spectra (mode_spectra), then msc_stage.
+    """Full single-mode run: mode_stages on the one mode.
 
     Raises ValueError on an epsilon that is not finite and positive, or so
-    large that the spread bound at the full size m overflows.
+    large that the spread bound at the full size m overflows, and NoGapError
+    on gapless marginals.
     """
-    [spectra] = mode_spectra(t, (mode,), epsilon, eig)
-    return msc_stage(t, mode, spectra, epsilon)
+    return mode_stages(t, (mode,), epsilon, eig)[0]

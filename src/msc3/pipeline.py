@@ -1,7 +1,7 @@
 """End-to-end runs: per-mode clustering, density splitting, tricluster assembly.
 
-The slices of all three modes are solved in one top_eigen pass
-(msc.mode_spectra); each mode's stage then runs on its own. Cross-mode
+Each round of the per-mode stage is one msc.mode_stages call, which solves
+the slices of all three modes in one top_eigen pass. Cross-mode
 pairing is by rank: clusters within each mode are ordered by descending mean
 marginal and matched by position, truncating to the smallest per-mode count.
 The pairing rule is recorded on the result so downstream consumers can see
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dbscan import split_cluster
-from .errors import DegenerateInputError, NoGapError, ValidationError, load_json
-from .msc import MscResult, mode_spectra, msc_stage
+from .errors import DegenerateInputError, ValidationError, load_json
+from .msc import MscResult, mode_stages
 from .blas import blas_held
 
 PAIRING_RULE = "rank-by-mean-marginal"
@@ -64,9 +64,7 @@ def run_msc(t, epsilon, eig="power"):
     Errors propagate: an all-zero tensor raises DegenerateInputError, a
     gapless marginal vector raises NoGapError.
     """
-    spectra = mode_spectra(t, (1, 2, 3), epsilon, eig)
-    return [msc_stage(t, mode, s, epsilon)
-            for mode, s in zip((1, 2, 3), spectra)]
+    return mode_stages(t, (1, 2, 3), epsilon, eig)
 
 
 @blas_held()
@@ -79,18 +77,12 @@ def run_msc_dbscan(t, epsilon, eig="power"):
     Returns (list of ModeClustering, TriclusterSet).
     """
     modes = []
-    spectra = mode_spectra(t, (1, 2, 3), epsilon, eig)
-    for mode, s in zip((1, 2, 3), spectra):
-        try:
-            res = msc_stage(t, mode, s, epsilon)
-        except NoGapError as e:
-            res = MscResult(mode=mode, cluster=(), d=e.d, bound=0.0)
-        if not res.converged:
-            modes.append(ModeClustering(clusters=[], noise=(), msc=res))
-            continue
-        split = split_cluster(res.similarity, res.cluster, epsilon)
-        modes.append(ModeClustering(clusters=list(split.clusters),
-                                    noise=split.noise, msc=res))
+    for res in mode_stages(t, (1, 2, 3), epsilon, eig, gapless=True):
+        clusters, noise = [], ()
+        if res.converged:
+            split = split_cluster(res.similarity, res.cluster, epsilon)
+            clusters, noise = list(split.clusters), split.noise
+        modes.append(ModeClustering(clusters=clusters, noise=noise, msc=res))
     return modes, pair_triclusters(modes, t)
 
 
@@ -132,10 +124,10 @@ def modes_from_msc(results, tensor):
 def run_msc_iterated(t, epsilon, eig="power"):
     """Repeated single-cluster extraction over shrinking complement sets.
 
-    Each round runs run_msc on the still-unclaimed indices and claims the
-    three clusters it finds. The loop stops at a mode without a converged
-    cluster of 2 or more, a complement under 3 slices, or a later round
-    with no gap or only zeros; first-round errors propagate as in run_msc.
+    Each round runs mode_stages on the still-unclaimed indices and claims
+    the three clusters it finds. The loop stops at a mode without a cluster
+    (gapless in a later round), a complement under 3 slices, or a later
+    round of only zeros; first-round errors propagate as in run_msc.
     Each mode's msc is the first round's result, and round r forms
     tricluster r. Returns (list of ModeClustering, TriclusterSet).
     """
@@ -150,8 +142,9 @@ def run_msc_iterated(t, epsilon, eig="power"):
         if min(len(a) for a in active) < 3:
             break
         try:
-            results = run_msc(t.subcube(*active), epsilon, eig)
-        except (NoGapError, DegenerateInputError):
+            results = mode_stages(t.subcube(*active), (1, 2, 3), epsilon, eig,
+                                  gapless=True)
+        except DegenerateInputError:
             break
     modes = [
         ModeClustering(clusters=[r[axis] for r in rounds], noise=(), msc=res)
@@ -161,9 +154,9 @@ def run_msc_iterated(t, epsilon, eig="power"):
                           pairing_rule="extraction-round")
 
 
-# method name -> function (t, epsilon, eig="power") -> (modes, triset). All
-# three run the per-mode stage msc_stage: msc keeps its cluster, msc-dbscan
-# splits it by density, msc-iterated reruns it on the unclaimed complement.
+# method name -> function (t, epsilon, eig="power") -> (modes, triset). Each
+# runs msc.mode_stages: msc keeps its one round, msc-dbscan splits it by
+# density, msc-iterated reruns it on the unclaimed complement.
 METHODS = {
     "msc": lambda t, epsilon, eig="power": modes_from_msc(
         run_msc(t, epsilon, eig), t),

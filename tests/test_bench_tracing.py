@@ -39,8 +39,14 @@ def test_every_target_resolves(tracing, capsys):
 # layers a traced `cluster` run reaches on both routes, and the solver's own
 COMMON = {"tensor.load", "tensor.slice", "spectral.covariance",
           "msc.slice_spectra", "msc.similarity", "msc.seed_refine",
-          "dbscan.split", "pipeline.pair", "pipeline.to_json"}
+          "pipeline.pair", "pipeline.to_json"}
 SOLVER = {"power": "spectral.top_eigen", "exact": "spectral.jacobi"}
+# the layers each method adds, and those it never reaches
+METHOD_LAYERS = {
+    "msc": (set(), {"dbscan.split"}),
+    "msc-dbscan": ({"dbscan.split"}, set()),
+    "msc-iterated": ({"tensor.subcube"}, {"dbscan.split"}),
+}
 
 
 def _planted(tmp_path):
@@ -53,20 +59,26 @@ def _planted(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("eig", ["power", "exact"])
-def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig):
+# the default method's cases keep the ids of the eig route alone
+@pytest.mark.parametrize("eig, method", [
+    pytest.param(eig, method,
+                 id=eig if method == "msc-dbscan" else f"{eig}-{method}")
+    for eig in ("power", "exact") for method in METHOD_LAYERS])
+def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig,
+                                               method):
     path = _planted(tmp_path)
     main = msc3.cli.main
     tracer = tracing.Tracer()
     with tracer.op(0):
-        rc = msc3.cli.main(["cluster", str(path), "--eig", eig,
-                            "-o", str(tmp_path / "c.json")])
+        rc = msc3.cli.main(["cluster", str(path), "--eig", eig, "--method",
+                            method, "-o", str(tmp_path / "c.json")])
     capsys.readouterr()
     assert rc == 0
     names = {span[0] for span in tracer.spans}
-    assert COMMON | {SOLVER[eig], "cli.main", tracing.ROOT} <= names
+    reached, unreached = METHOD_LAYERS[method]
+    assert COMMON | reached | {SOLVER[eig], "cli.main", tracing.ROOT} <= names
     [other] = set(SOLVER.values()) - {SOLVER[eig]}
-    assert other not in names
+    assert not (unreached | {other}) & names
     # the originals are back once the op ends
     assert msc3.cli.main is main
 

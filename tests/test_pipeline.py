@@ -21,11 +21,13 @@ from msc3 import (
     dbscan,
     generate,
     modes_from_msc,
+    msc_mode,
     pair_triclusters,
     run_msc,
     run_msc_dbscan,
     run_msc_iterated,
 )
+from msc3 import spectral
 from msc3.pipeline import METHODS
 
 
@@ -328,6 +330,32 @@ def test_iterated_stops_when_a_complement_has_under_three_slices():
     assert len(triset.triclusters) == 1
     with pytest.raises(ValueError):
         run_msc(t.subcube((3, 4), range(3, 12), range(3, 12)), 0.001)
+
+
+def test_iterated_stops_on_a_later_gapless_round():
+    # the 6^3 complement of the block is constant, so round 2 has no gap
+    data = np.full((9, 9, 9), 0.5)
+    data[:3, :3, :3] = 20.0
+    modes, triset = run_msc_iterated(Tensor3(data), epsilon=0.001)
+    for mc in modes:
+        assert mc.clusters == [(0, 1, 2)]
+    assert len(triset.triclusters) == 1
+
+
+@pytest.mark.parametrize("run", [
+    run_msc, run_msc_dbscan, run_msc_iterated,
+    lambda t, epsilon: msc_mode(t, 3, epsilon),
+])
+def test_epsilon_is_checked_before_any_solve(run, monkeypatch):
+    # 600 * 1e306 / 2 overflows, so only mode 3's bound does
+    t = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 600)))
+
+    def solve(*args, **kwargs):
+        raise AssertionError("top_eigenpair called before the epsilon check")
+
+    monkeypatch.setattr(spectral, "top_eigenpair", solve)
+    with pytest.raises(ValueError, match="overflows the spread bound"):
+        run(t, 1e306)
 
 
 def test_iterated_first_round_errors_propagate():

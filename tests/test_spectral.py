@@ -21,7 +21,7 @@ from msc3 import (
     top_eigen,
     top_eigenpair,
 )
-from msc3 import blas, pipeline, spectral
+from msc3 import blas, msc, spectral
 from msc3.cli import main
 from msc3.spectral import _round_robin
 
@@ -437,19 +437,20 @@ def _counted(monkeypatch, module, name, calls):
 
 def test_an_exact_iterated_run_calls_jacobi_once_a_round(tmp_path, capsys,
                                                         monkeypatch):
-    # the three modes of each round share one stack
+    # the three modes of each round share one slice_spectra pass and stack
     path = str(tmp_path / "t.csv")
     assert main(["synth", "--dims", "16,16,16", "--rank", "3",
                  "--cluster-size", "4", "--gamma", "160,120,90", "--seed", "0",
                  "--format", "csv", "-o", path]) == 0
     calls = []
     _counted(monkeypatch, spectral, "full_eigen_jacobi", calls)
-    _counted(monkeypatch, pipeline, "run_msc", calls)
+    _counted(monkeypatch, msc, "slice_spectra", calls)
     assert main(["cluster", path, "--format", "csv", "--method",
                  "msc-iterated", "--eig", "exact"]) == 0
     capsys.readouterr()
-    assert calls.count("run_msc") >= 3
-    assert calls == ["run_msc", "full_eigen_jacobi"] * calls.count("run_msc")
+    rounds = calls.count("slice_spectra")
+    assert rounds >= 3
+    assert calls == ["slice_spectra", "full_eigen_jacobi"] * rounds
 
 
 def test_a_power_run_calls_top_eigenpair_once(tmp_path, capsys, monkeypatch):
