@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .tensor import as_index
 
 
 def ari(a, b):
@@ -54,7 +55,7 @@ def labels_from_clusters(clusters, m):
     seen = set()
     for cid, members in enumerate(clusters):
         for i in members:
-            i = int(i)
+            i = as_index(i)
             if not 0 <= i < m:
                 raise IndexError(f"cluster index {i} out of range 0..{m - 1}")
             if i in seen:

@@ -18,7 +18,7 @@ import numpy as np
 from .blas import blas_held
 from .errors import DegenerateInputError, NoGapError, ValidationError
 from .spectral import covariance, top_eigen
-from .tensor import _mode_axis
+from .tensor import _mode_axis, as_index
 
 EQUAL_TOL = 1e-12
 
@@ -85,7 +85,7 @@ def marginal_spread_bound(l, epsilon, m):
     when m - l <= 1 so the bound is defined for every feasible size.
     """
     gap = m - l
-    term = math.sqrt(max(0.0, math.log(gap))) if gap >= 1 else 0.0
+    term = math.sqrt(math.log(gap)) if gap >= 1 else 0.0
     return l * epsilon / 2.0 + term
 
 
@@ -156,8 +156,13 @@ def _normalized(pairs, mode):
     return SliceSpectra(lambdas=lams, v_matrix=v)
 
 
+@blas_held()
 def similarity_matrix(spectra):
-    """C = |V^T V| (exactly symmetric, as in covariance) and its row sums d."""
+    """C = |V^T V| (exactly symmetric, as in covariance) and its row sums d.
+
+    Holds BLAS at one thread, as a run does, so C does not depend on the
+    thread count.
+    """
     c = np.abs(spectra.v_matrix.T @ spectra.v_matrix)
     d = c.sum(axis=1)
     return SimilarityMatrix(c=c, d=d)
@@ -187,9 +192,9 @@ def initial_cluster_by_gap(d):
 
 
 def _check_members(j, m):
-    # a cluster is 2 or more distinct slice indices in 0..m - 1; returns
-    # them sorted, or raises ValueError
-    members = sorted(int(i) for i in j)
+    # a cluster is 2 or more distinct integer slice indices in 0..m - 1;
+    # returns them sorted, or raises ValueError
+    members = sorted(as_index(i) for i in j)
     if len(members) < 2:
         raise ValueError(f"a cluster needs at least 2 members, got {len(members)}")
     if members[0] < 0 or members[-1] >= m or len(set(members)) < len(members):
@@ -231,7 +236,7 @@ def msc_stage(t, mode, spectra, epsilon):
     m = t.dims[_mode_axis(mode)]
     sim = similarity_matrix(spectra)
     rows, cols = t.dims[:mode - 1] + t.dims[mode:]
-    baseline = (math.sqrt(max(rows - 1, 0)) + math.sqrt(cols)) ** 2
+    baseline = (math.sqrt(rows - 1) + math.sqrt(cols)) ** 2
     seed = initial_cluster_by_gap(sim.d)
     if len(seed) < 2:
         res = MscResult(mode=mode, cluster=(), d=sim.d,

@@ -1,7 +1,9 @@
 """End-to-end runs: per-mode clustering, density splitting, tricluster assembly.
 
-Each round of the per-mode stage is one msc.mode_stages call, which solves
-the slices of all three modes in one top_eigen pass. Cross-mode
+Each method is a function (t, epsilon, eig="power") -> (modes, triset):
+run_msc, run_msc_dbscan and run_msc_iterated, which METHODS names by CLI
+method. Each round of the per-mode stage is one msc.mode_stages call,
+which solves the slices of all three modes in one top_eigen pass. Cross-mode
 pairing is by rank: clusters within each mode are ordered by descending mean
 marginal and matched by position, truncating to the smallest per-mode count.
 The pairing rule is recorded on the result so downstream consumers can see
@@ -63,8 +65,9 @@ def run_msc(t, epsilon, eig="power"):
 
     Errors propagate: an all-zero tensor raises DegenerateInputError, a
     gapless marginal vector raises NoGapError.
+    Returns (list of ModeClustering, TriclusterSet) through modes_from_msc.
     """
-    return mode_stages(t, (1, 2, 3), epsilon, eig)
+    return modes_from_msc(mode_stages(t, (1, 2, 3), epsilon, eig), t)
 
 
 @blas_held()
@@ -131,7 +134,7 @@ def run_msc_iterated(t, epsilon, eig="power"):
     Each mode's msc is the first round's result, and round r forms
     tricluster r. Returns (list of ModeClustering, TriclusterSet).
     """
-    first = results = run_msc(t, epsilon, eig)
+    first = results = mode_stages(t, (1, 2, 3), epsilon, eig)
     active = [range(m) for m in t.dims]
     rounds = []
     while all(r.converged for r in results):
@@ -154,12 +157,10 @@ def run_msc_iterated(t, epsilon, eig="power"):
                           pairing_rule="extraction-round")
 
 
-# method name -> function (t, epsilon, eig="power") -> (modes, triset). Each
-# runs msc.mode_stages: msc keeps its one round, msc-dbscan splits it by
-# density, msc-iterated reruns it on the unclaimed complement.
+# CLI method name -> run function: msc keeps its one mode_stages round,
+# msc-dbscan splits it by density, msc-iterated reruns it on the complement.
 METHODS = {
-    "msc": lambda t, epsilon, eig="power": modes_from_msc(
-        run_msc(t, epsilon, eig), t),
+    "msc": run_msc,
     "msc-dbscan": run_msc_dbscan,
     "msc-iterated": run_msc_iterated,
 }

@@ -4,7 +4,7 @@ Layout is row-major: entry (i, j, k) of an m1 x m2 x m3 tensor lives at flat
 index ((i * m2) + j) * m3 + k, which is exactly numpy C order for shape
 (m1, m2, m3).
 
-Indices are 0-based everywhere. Modes are numbered 1, 2, 3.
+Indices (0-based) and modes (1, 2, 3) are integers everywhere (as_index).
 """
 
 from __future__ import annotations
@@ -20,15 +20,27 @@ from .errors import FormatError, ValidationError
 T3B_MAGIC = b"T3B1"
 
 
+def as_index(value):
+    """value as an int, if it is a Python or numpy integer and not a bool.
+
+    Anything else raises ValueError naming it, 2.0 included, which numpy's
+    own indexing refuses too; int() would read 1.5 and True as 1.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"an index or mode must be an integer, got {value!r}")
+
+
 def check_index_set(indices, size, mode):
     """Validate a cluster index set for one mode.
 
-    Returns the indices as a sorted tuple. Raises ValueError on an empty set
-    or duplicates, IndexError on out-of-range members. mode is only used in
-    messages; pass any label when there is no mode context.
+    Returns the indices as a sorted tuple. Raises ValueError on an empty set,
+    duplicates or a member that is not an integer (as_index), IndexError on
+    out-of-range members. mode is only used in messages; pass any label
+    when there is no mode context.
     """
     label = f"mode-{mode}" if isinstance(mode, int) else str(mode)
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(as_index(i) for i in indices))
     if len(idx) == 0:
         raise ValueError(f"{label} index set is empty")
     if len(set(idx)) != len(idx):
@@ -69,7 +81,7 @@ class Tensor3:
         """
         axis = _mode_axis(mode)
         m = self.dims[axis]
-        if not 0 <= index < m:
+        if not 0 <= as_index(index) < m:
             raise IndexError(
                 f"mode-{mode} slice index {index} out of range 0..{m - 1}"
             )
@@ -85,7 +97,7 @@ class Tensor3:
 
 
 def _mode_axis(mode):
-    if mode not in (1, 2, 3):
+    if as_index(mode) not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
     return mode - 1
 

@@ -7,7 +7,7 @@ Msc3Error; it must never raise another exception or emit a warning (warnings
 are turned into errors here, so a RuntimeWarning fails the example).
 Out-of-range or repeated indices, modes and sizes given to refine_cluster,
 split_cluster, msc_mode, slice_spectra and benchmark_spec raise ValueError
-too.
+too, as do indices and modes that are not integers or are bools.
 """
 
 import math
@@ -23,16 +23,19 @@ from msc3 import (
     SimilarityMatrix,
     Tensor3,
     benchmark_spec,
+    check_index_set,
     dbscan,
     derived_radius,
     full_eigen_jacobi,
     initial_cluster_by_gap,
+    labels_from_clusters,
     msc_mode,
     refine_cluster,
     slice_spectra,
     split_cluster,
     top_eigen,
     top_eigenpair,
+    unit_cluster_vector,
 )
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 5e-324, 1e153, 1e155,
@@ -192,10 +195,33 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
     lambda: slice_spectra(_T, 4),
     lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=0, rank=1000),
     lambda: benchmark_spec(1.0, 0, dims=(6, 6, 6), cluster_size=-2, rank=1),
+    # an index or mode that is not an integer, or is a bool
+    lambda: _T.slice(1, True),
+    lambda: _T.slice(2, False),
+    lambda: _T.slice(1, 2.0),
+    lambda: check_index_set(np.array([True, False]), 3, 1),
+    lambda: _T.subcube([0.9, 1.5], [1], [2]),
+    lambda: _T.subcube([0, 1], [True], [2]),
+    lambda: labels_from_clusters([[0.7, 2.2]], 3),
+    lambda: unit_cluster_vector([0.5, 1.5], 4),
+    lambda: refine_cluster((0.5, 1.7), _D, 0.1, 4),
+    lambda: split_cluster(_SIM, (0.5, 1.7), 0.1),
+    lambda: msc_mode(_T, True, 0.1),
+    lambda: msc_mode(_T, 2.0, 0.1),
 ], ids=["refine-negative", "refine-past-end", "refine-repeated",
         "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
-        "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative"])
+        "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative",
+        "slice-index-true", "slice-index-false", "slice-index-float",
+        "index-set-bool-array", "subcube-float", "subcube-bool",
+        "labels-float", "unit-vector-float", "refine-float", "split-float",
+        "msc-mode-true", "msc-mode-float"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
         call()
+
+
+def test_numpy_integers_and_ranges_are_indices():
+    sub = _T.subcube(np.array([0, 1]), [np.int64(2)], range(3))
+    assert np.array_equal(sub.data, _T.data[:2, 2:3, :3])
+    assert np.array_equal(_T.slice(np.int64(2), np.int32(1)), _T.data[:, 1])

@@ -81,6 +81,29 @@ def test_msc_mode_does_not_depend_on_blas_threads(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
+@needs_control
+def test_similarity_matrix_does_not_depend_on_blas_threads(tmp_path):
+    # similarity_matrix formed V^T V outside a hold, so called on its own
+    # with two OpenBLAS threads its C differed from one thread's at 100^3.
+    # v_matrix matches only because top_eigen pulls the covariances inside
+    # its own hold.
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(60.0, 0, dims=(100, 100, 100)))[0],
+                path)
+    code = f"""
+        from msc3 import load_tensor, similarity_matrix, slice_spectra
+        spectra = slice_spectra(load_tensor({path!r}), 1)
+        print(spectra.v_matrix.tobytes().hex())
+        print(similarity_matrix(spectra).c.tobytes().hex())
+    """
+    runs = [_python(code, 120, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    one, two = (proc.stdout.splitlines() for proc in runs)
+    assert one[0] == two[0], "v_matrix differs"
+    assert one[1] == two[1], "similarity C differs"
+
+
 def test_a_cluster_run_loads_no_scipy(tmp_path):
     # numpy is the one runtime dependency; scipy is a test extra, so a
     # stray import of it would pass every in-process test

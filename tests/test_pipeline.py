@@ -50,7 +50,8 @@ def _mc(mode, clusters, noise=()):
 
 def test_run_msc_noiseless_rank1():
     t, truth = generate(_block_spec([30.0]))
-    results = run_msc(t, epsilon=0.001)
+    modes, _ = run_msc(t, epsilon=0.001)
+    results = [mc.msc for mc in modes]
     assert [r.mode for r in results] == [1, 2, 3]
     for r in results:
         assert r.converged
@@ -60,8 +61,8 @@ def test_run_msc_noiseless_rank1():
 
 def test_run_msc_equal_strength_components_merge():
     t, _ = generate(_block_spec([25.0, 25.0]))
-    for r in run_msc(t, epsilon=0.001):
-        assert r.cluster == (0, 1, 2, 3, 4, 5)
+    for mc in run_msc(t, epsilon=0.001)[0]:
+        assert mc.msc.cluster == (0, 1, 2, 3, 4, 5)
 
 
 def test_run_msc_zero_tensor_degenerate():
@@ -182,7 +183,7 @@ def test_pair_scores_with_tensor():
 
 def test_modes_from_msc_wraps_converged_only():
     t, _ = generate(_block_spec([30.0]))
-    results = run_msc(t, epsilon=0.001)
+    results = [mc.msc for mc in run_msc(t, epsilon=0.001)[0]]
     modes, triset = modes_from_msc(results, tensor=t)
     for mc, res in zip(modes, results):
         assert mc.clusters == [res.cluster]
@@ -286,11 +287,13 @@ def test_non_positive_epsilon_raises_on_gapless_tensor(run, epsilon):
 
 def test_methods_table():
     assert list(METHODS) == ["msc", "msc-dbscan", "msc-iterated"]
+    assert METHODS["msc"] is run_msc
     assert METHODS["msc-dbscan"] is run_msc_dbscan
     assert METHODS["msc-iterated"] is run_msc_iterated
     t, _ = generate(_block_spec([40.0, 20.0]))
     modes, triset = METHODS["msc"](t, 0.001)
-    want_modes, want_triset = modes_from_msc(run_msc(t, 0.001), tensor=t)
+    results = [mc.msc for mc in modes]
+    want_modes, want_triset = modes_from_msc(results, tensor=t)
     assert [mc.clusters for mc in modes] == [mc.clusters for mc in want_modes]
     assert triset == want_triset
 
