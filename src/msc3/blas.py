@@ -1,12 +1,12 @@
-"""numpy's OpenBLAS: held at one thread during a run, and its dsyevr.
+"""numpy's OpenBLAS: held at one thread during a run, and its LAPACK.
 
 blas_held() sets numpy's bundled OpenBLAS to one thread for as long as a run
 lasts, which makes every BLAS result of the run independent of the core
 count. The control is the thread-count pair that numpy's wheels export from
 their scipy-openblas build; where it is missing (another BLAS), BLAS runs as
-it is set. The same build's LAPACKE_dsyevr gives spectral.top_eigenpair the
-top pair of each matrix (top_pairs); where that is missing, top_pairs
-finds none.
+it is set. The same build's LAPACKE dsytrd, dstevx and dormtr (the steps
+dsyevr takes for one pair) give spectral.top_eigenpair the top pair of each
+matrix (top_pairs); where any of them is missing, top_pairs finds none.
 """
 
 from __future__ import annotations
@@ -60,14 +60,20 @@ def _blas_control():
 
 
 @functools.cache
-def _dsyevr():
-    # LAPACKE_dsyevr(layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
-    # abstol, m, w, z, ldz, isuppz), or None
-    p = ctypes.c_void_p
-    return _function("scipy_LAPACKE_dsyevr64_", _INT, ctypes.c_int,
-                     ctypes.c_char, ctypes.c_char, ctypes.c_char, _INT, p,
-                     _INT, ctypes.c_double, ctypes.c_double, _INT, _INT,
-                     ctypes.c_double, p, p, p, _INT, p)
+def _lapack():
+    # the LAPACKE entry points top_pairs calls, or None where one is missing:
+    # dsytrd_work(layout, uplo, n, a, lda, d, e, tau, work, lwork),
+    # dstevx_work(layout, jobz, range, n, d, e, vl, vu, il, iu, abstol, m,
+    # w, z, ldz, work, iwork, ifail) and dormtr_work(layout, side, uplo,
+    # trans, m, n, a, lda, tau, c, ldc, work, lwork)
+    p, c, f, i = ctypes.c_void_p, ctypes.c_char, ctypes.c_double, _INT
+    fns = (_function("scipy_LAPACKE_dsytrd_work64_", i, ctypes.c_int, c, i,
+                     p, i, p, p, p, p, i),
+           _function("scipy_LAPACKE_dstevx_work64_", i, ctypes.c_int, c, c,
+                     i, p, p, f, f, i, i, f, p, p, p, i, p, p, p),
+           _function("scipy_LAPACKE_dormtr_work64_", i, ctypes.c_int, c, c,
+                     c, i, i, p, i, p, p, i, p, i))
+    return None if None in fns else fns
 
 
 @contextlib.contextmanager
@@ -102,29 +108,48 @@ def blas_held():
 def top_pairs(a):
     """Largest eigenpair of each matrix of a (k, n, n) float64 stack.
 
-    One LAPACKE_dsyevr call per matrix (RANGE='I', IL = IU = n), on the
-    calling thread: a tridiagonal reduction, then the one wanted pair by
-    bisection and inverse iteration (dstebz, dstein; dsyevr keeps its MRRR
-    path for full spectra). Each call reads the triangle that
-    numpy.linalg.eigh reads (row-major 'L', which is column-major 'U') from
-    a C-order copy, since dsyevr destroys its input. Returns (lambda, v,
-    found), found being False where a call failed or did not return
-    exactly one pair, and for every matrix where the function is missing.
+    Per matrix, on the calling thread, the three LAPACK steps that dsyevr
+    takes for one pair (RANGE='I', IL = IU = n): dsytrd reduces it to
+    tridiagonal form, dstevx finds the top pair of that by bisection and
+    inverse iteration (dstebz, dstein), and dormtr maps the vector back.
+    dsytrd gets the 28n of workspace that dsyevr hands it, so its bits are
+    dsyevr's. dormtr gets 1, so it applies the reflectors one at a time:
+    the blocked form builds T factors that pay off only over many vectors.
+    Each matrix is read in the triangle that numpy.linalg.eigh reads
+    (row-major 'L', which is column-major 'U') from a C-order copy, since
+    dsytrd overwrites it. Returns (lambda, v, found), found being False
+    where a step failed or dstevx did not return exactly one pair, and for
+    every matrix where any of the three functions is missing.
     """
     k, n, _ = a.shape
     lam, v = np.zeros(k), np.zeros((k, n))
     found = np.zeros(k, dtype=bool)
-    solve = _dsyevr()
-    if solve is None:
+    fns = _lapack()
+    if fns is None:
         return lam, v, found
-    # w takes n values, as dsyevr documents, though it returns one
-    work, w = np.array(a, dtype=np.float64, order="C"), np.empty(n)
-    m, isuppz = _INT(), (_INT * 2)()
-    at = (work.ctypes.data, w.ctypes.data, v.ctypes.data)
+    trd, stevx, ormtr = fns
+    work = np.array(a, dtype=np.float64, order="C")
+    # one workspace for the stack: rows d, e, tau and w (dstevx's eigenvalue
+    # slots), then dsytrd's 28n, which dstevx's 5n and dormtr's 1 reuse;
+    # dstevx's iwork (5n), then its ifail (n)
+    buf, ibuf = np.empty((32, n)), np.empty((6, n), dtype=np.int64)
+    d, e, tau, w, wk = (r.ctypes.data_as(ctypes.c_void_p) for r in buf[:5])
+    iwork, ifail = (r.ctypes.data_as(ctypes.c_void_p) for r in ibuf[::5])
+    # the arguments as ctypes objects, built once, which ctypes passes on
+    # without converting; each matrix only repoints mat and vec
+    mat, vec, m = ctypes.c_void_p(), ctypes.c_void_p(), _INT()
+    col, zero = ctypes.c_int(_COL_MAJOR), ctypes.c_double(0.0)
+    nn, one = _INT(n), _INT(1)
+    up, jobz, rng, side, trans = map(ctypes.c_char, b"UVILN")
+    trd_args = (col, up, nn, mat, nn, d, e, tau, wk, _INT(28 * n))
+    stevx_args = (col, jobz, rng, nn, d, e, zero, zero, nn, nn, zero,
+                  ctypes.byref(m), w, vec, nn, wk, iwork, ifail)
+    ormtr_args = (col, side, up, trans, nn, one, mat, nn, tau, vec, nn, wk,
+                  one)
+    at_a, at_v = work.ctypes.data, v.ctypes.data
     for i in range(k):
-        info = solve(_COL_MAJOR, b"V", b"I", b"U", n, at[0] + 8 * i * n * n,
-                     n, 0.0, 0.0, n, n, 0.0, ctypes.addressof(m), at[1],
-                     at[2] + 8 * i * n, n, ctypes.addressof(isuppz))
-        found[i] = info == 0 and m.value == 1
-        lam[i] = w[0]
+        mat.value, vec.value = at_a + 8 * i * n * n, at_v + 8 * i * n
+        found[i] = (trd(*trd_args) == 0 and stevx(*stevx_args) == 0
+                    and m.value == 1 and ormtr(*ormtr_args) == 0)
+        lam[i] = buf[3, 0]
     return lam, v, found

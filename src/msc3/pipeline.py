@@ -179,7 +179,7 @@ def clusters_to_json(epsilon, method, modes, triset):
         "method": method,
         "modes": [
             {
-                "mode": mc.mode,
+                "mode": int(mc.mode),
                 "msc_cluster": [int(i) for i in mc.msc.cluster],
                 "clusters": [[int(i) for i in c] for c in mc.clusters],
                 "noise": [int(i) for i in mc.noise],

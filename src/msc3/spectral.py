@@ -5,10 +5,12 @@ Two independent routes to the top eigenpair are kept on purpose: LAPACK
 full-spectrum solver (the exact path, also the independent eigen oracle in
 the tests). They share no code beyond numpy primitives.
 
-The LAPACK route solves each matrix of a stack for its top pair only, with
-one dsyevr call on the calling thread (blas.top_pairs). A matrix that this
-does not solve to the residual test goes to a full eigh of that matrix
-alone, as does every matrix where numpy's BLAS has no dsyevr to call.
+The LAPACK route solves each matrix of a stack for its top pair only, on
+the calling thread, by the steps dsyevr takes for one pair: tridiagonal
+reduction, bisection and inverse iteration, and the one vector mapped back
+(blas.top_pairs). A matrix that this does not solve to the residual test
+goes to a full eigh of that matrix alone, as does every matrix where
+numpy's BLAS lacks one of those LAPACK functions.
 
 The Jacobi solver uses the round-robin ("circle") parallel ordering of
 Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
@@ -111,14 +113,14 @@ def top_eigenpair(c, tol=1e-10):
 
     A 2-d matrix returns one EigenPair; a (k, n, n) stack returns a list of
     k, each bit for bit what its matrix gets alone. Each pair comes from
-    one LAPACK dsyevr call for the top pair only (blas.top_pairs), on the
+    dsyevr's LAPACK steps for the top pair only (blas.top_pairs), on the
     calling thread with numpy's OpenBLAS held at one thread. The pair is
-    kept when dsyevr returns one, lambda != 0 and
+    kept when LAPACK returns one, lambda != 0 and
     ||C v - lambda v|| <= tol * |lambda|. Any other matrix (lambda = 0, a
-    failed call, a missed residual, or every matrix where numpy's BLAS has
-    no dsyevr) is solved alone by numpy.linalg.eigh, whose largest pair
-    must meet ||C v - lambda v|| <= tol * max(lambda, 1), or
-    ConvergenceError (with the residual) is raised. Each eigenvalue is
+    failed call, a missed residual, or every matrix where numpy's BLAS
+    lacks one of those functions) is solved alone by numpy.linalg.eigh,
+    whose largest pair must meet ||C v - lambda v|| <= tol * max(lambda, 1),
+    or ConvergenceError (with the residual) is raised. Each eigenvalue is
     clamped at 0 and each vector has its largest-magnitude entry
     nonnegative. A matrix not finite and symmetric, or with
     4 ||C||_F^2 = inf, raises ValidationError.

@@ -15,9 +15,12 @@ instead of in place.
 Eigenvalues are the exception: eigh_top calls LAPACK, as the default top
 eigenpair route does, so the independent eigen oracle is the Jacobi solver
 (spectral.full_eigen_jacobi, round-robin ordering, numpy only), which
-shares no code with LAPACK.
+shares no code with LAPACK. dsyevr_top, one dsyevr call a matrix, is the
+reference for the bits of blas.top_pairs, which runs dsyevr's steps
+itself.
 """
 
+import ctypes
 import math
 from collections import deque
 
@@ -178,6 +181,39 @@ def set_partitions(n):
 def eigh_top(c):
     """Top eigenvalue via LAPACK eigvalsh (the default route uses eigh)."""
     return float(np.linalg.eigvalsh(np.asarray(c, dtype=float))[-1])
+
+
+def dsyevr_top(a):
+    """Top pair of each matrix of a (k, n, n) stack by one dsyevr call each.
+
+    LAPACKE_dsyevr (RANGE='I', IL = IU = n) on a C-order copy, read as
+    column-major 'U': the reference for blas.top_pairs, which runs dsyevr's
+    steps for one pair itself. Returns (lambda, v, found) as top_pairs
+    does, or None where numpy's OpenBLAS has no LAPACKE_dsyevr.
+    """
+    from msc3 import blas
+
+    p = ctypes.c_void_p
+    solve = blas._function("scipy_LAPACKE_dsyevr64_", blas._INT, ctypes.c_int,
+                           ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                           blas._INT, p, blas._INT, ctypes.c_double,
+                           ctypes.c_double, blas._INT, blas._INT,
+                           ctypes.c_double, p, p, p, blas._INT, p)
+    if solve is None:
+        return None
+    k, n, _ = a.shape
+    lam, v = np.zeros(k), np.zeros((k, n))
+    found = np.zeros(k, dtype=bool)
+    work, w = np.array(a, dtype=np.float64, order="C"), np.empty(n)
+    m, isuppz = blas._INT(), (blas._INT * 2)()
+    for i in range(k):
+        info = solve(blas._COL_MAJOR, b"V", b"I", b"U", n,
+                     work[i].ctypes.data, n, 0.0, 0.0, n, n, 0.0,
+                     ctypes.addressof(m), w.ctypes.data, v[i].ctypes.data, n,
+                     ctypes.addressof(isuppz))
+        found[i] = info == 0 and m.value == 1
+        lam[i] = w[0]
+    return lam, v, found
 
 
 def oneshot_boxmuller(rng, n):

@@ -1,5 +1,6 @@
 """numpy's OpenBLAS held at one thread across threads and processes,
-output across BLAS thread counts, and a run that needs no scipy.
+output across BLAS thread counts, a run that needs no scipy, and the top
+pairs of blas.top_pairs against one dsyevr call a matrix.
 
 The process checks run in a fresh interpreter, so that the thread count
 numpy's OpenBLAS starts with is the one under test rather than whatever the
@@ -13,9 +14,12 @@ import sys
 import textwrap
 import threading
 
+import numpy as np
 import pytest
 
-from msc3 import benchmark_spec, blas, generate, save_tensor
+from msc3 import benchmark_spec, blas, covariance, generate, save_tensor
+
+from _oracles import dsyevr_top
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -206,3 +210,74 @@ def test_sweep_jobs_run_one_solver_thread_each(tmp_path):
     """
     proc = _python(code, 120)
     assert proc.returncode == 0, proc.stderr
+
+
+@needs_control
+def test_top_pairs_finds_its_lapack_functions():
+    # numpy's scipy-openblas exports dsytrd, dstevx and dormtr; were one
+    # missing, every matrix would silently go to a full eigh, about 3.5
+    # times slower at n = 150
+    assert blas._lapack() is not None
+    assert blas.top_pairs(np.eye(3)[np.newaxis])[2].all()
+
+
+def _psd_stack(n, k, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([covariance(rng.standard_normal((n + 3, n)))
+                     for _ in range(k)])
+
+
+def _dsyevr_pairs(a):
+    pairs = dsyevr_top(a)
+    if pairs is None:
+        pytest.skip("numpy's BLAS has no LAPACKE_dsyevr")
+    return pairs
+
+
+def _residuals(a, lam, v):
+    return np.linalg.norm((a @ v[..., np.newaxis])[..., 0]
+                          - lam[:, np.newaxis] * v, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 32, 33, 50, 100, 134])
+def test_top_pairs_are_dsyevr_bit_for_bit(n):
+    # up to n = 134 dsyevr's own back-transform runs unblocked too
+    a = _psd_stack(n, 6, seed=n)
+    want, got = _dsyevr_pairs(a), blas.top_pairs(a)
+    assert want[2].all() and got[2].all()
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [135, 136, 150, 200])
+def test_top_pairs_match_dsyevr_where_it_blocks(n):
+    # from n = 135 the 31n of workspace dsyevr leaves its dormql holds the
+    # 4160-entry T factor and a block of 2 or more reflectors, so dormql
+    # goes blocked and the vector moves in its last bits
+    a = _psd_stack(n, 4, seed=n)
+    want, got = _dsyevr_pairs(a), blas.top_pairs(a)
+    assert want[2].all() and got[2].all()
+    assert np.array_equal(got[0], want[0])
+    assert np.abs(got[1] - want[1]).max() <= 1e-14
+    assert (_residuals(a, *got[:2]) <= 1e-10 * np.abs(got[0])).all()
+
+
+@pytest.mark.parametrize("largest", [1e-300, 1e-150, 1e80, 1e150])
+def test_top_pairs_at_extreme_scales(largest):
+    # dsyevr scales the matrix before its reduction and top_pairs scales
+    # the tridiagonal after it (dstevx), so lambda moves by a few ulps: by
+    # up to 1.22e-15 relative over 200 random matrices each of n = 5, 20
+    # and 50 at these scales. Against the same matrices scaled to a
+    # largest entry in (0.5, 1] by a power of two, top_pairs moved lambda
+    # by at most 5.6e-16, and dsyevr by up to 1.55e-15.
+    a = _psd_stack(20, 8, seed=7)
+    unit = a / 2.0 ** np.ceil(np.log2(np.abs(a).max(axis=(1, 2))))[
+        :, np.newaxis, np.newaxis]
+    scale = 2.0 ** round(np.log2(largest))
+    scaled = unit * scale
+    want, got = _dsyevr_pairs(scaled), blas.top_pairs(scaled)
+    assert got[2].all()
+    assert np.abs(got[0] / want[0] - 1.0).max() <= 2e-15
+    assert np.abs(got[0] / scale / blas.top_pairs(unit)[0] - 1.0).max() <= (
+        1e-15)
+    assert (_residuals(scaled, *got[:2]) <= 1e-10 * np.abs(got[0])).all()

@@ -228,6 +228,17 @@ def test_json_round_trip_and_key_order():
     assert len(doc["modes"][0]["d"]) == 12
 
 
+def test_numpy_integer_modes_serialize_as_int_modes():
+    # a mode given as a numpy integer is accepted by msc_mode; its JSON
+    # raised "Object of type int64 is not JSON serializable"
+    t, _ = generate(_block_spec([30.0]))
+    docs = [clusters_to_json(0.001, "msc", *modes_from_msc(
+        [msc_mode(t, kind(k), 0.001) for k in (1, 2, 3)], t))
+        for kind in (int, np.int64)]
+    assert docs[0] == docs[1]
+    assert [m["mode"] for m in json.loads(docs[1])["modes"]] == [1, 2, 3]
+
+
 def test_repeated_runs_serialize_identically():
     spec = _block_spec([25.0, 25.0], noise=0.05, seed=3)
     docs = []

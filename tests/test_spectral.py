@@ -540,7 +540,7 @@ def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
 
 
 def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
-    # only the zero matrix (lambda = 0) goes to eigh, on its own; dsyevr
+    # only the zero matrix (lambda = 0) goes to eigh, on its own; LAPACK
     # solves the rest, a diagonal one whose top entry is the smallest
     # subnormal among them
     n = 5
@@ -573,15 +573,16 @@ def test_top_eigenpair_stack_falls_back_to_eigh_alone(monkeypatch):
 
 
 def test_top_eigen_without_dsyevr_gives_the_eigh_pairs(monkeypatch):
-    # where numpy's BLAS has no LAPACKE_dsyevr, every matrix goes to eigh
+    # where numpy's BLAS lacks one of dsyevr's LAPACK steps (dsytrd,
+    # dstevx, dormtr), every matrix goes to eigh
     mats = _mode_of_covs()
     want = [spectral._eigh_top(c, 1e-10) for c in mats]
-    monkeypatch.setattr(blas, "_dsyevr", lambda: None)
+    monkeypatch.setattr(blas, "_lapack", lambda: None)
     assert _same_pairs(top_eigen(iter(mats)), want)
 
 
 def test_top_eigenpair_one_by_one_matrices():
-    # dsyevr returns a 1 x 1 matrix's entry; 0 goes to eigh
+    # LAPACK returns a 1 x 1 matrix's entry; 0 goes to eigh
     mats = np.array([[[4.0]], [[0.0]], [[2.5e-7]], [[-3.0]]])
     got = top_eigenpair(mats)
     assert [p.value for p in got] == [4.0, 0.0, 2.5e-7, 0.0]
