@@ -8,7 +8,7 @@ clusters apart. Ships with a planted-cluster generator, ARI and sub-cube
 RMSE metrics, and a CLI (synth / cluster / eval / sweep).
 """
 
-from .dbscan import NOISE, SplitResult, dbscan, derived_radius, split_cluster
+from .dbscan import NOISE, dbscan
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -22,12 +22,15 @@ from .msc import (
     MscResult,
     SimilarityMatrix,
     SliceSpectra,
+    SplitResult,
+    derived_radius,
     initial_cluster_by_gap,
     marginal_spread_bound,
     msc_mode,
     refine_cluster,
     similarity_matrix,
     slice_spectra,
+    split_cluster,
 )
 from .pipeline import (
     ModeClustering,

@@ -248,11 +248,16 @@ def cmd_sweep(args):
         for row in ordered:
             fh.write(_format_row(row) + "\n")
 
+    # each (gamma, method)'s rows in row order, from one pass; a gamma
+    # listed twice pools the rows of both
+    groups = {}
+    for row in ordered:
+        groups.setdefault((row[0], row[2]), []).append(row)
     with open(agg_path, "w") as fh:
         fh.write(AGGREGATE_HEADER + "\n")
         for g in gammas:
             for method in SWEEP_METHODS:
-                rows = [r for r in ordered if r[0] == g and r[2] == method]
+                rows = groups[g, method]
                 aris = np.array([r[4] for r in rows], dtype=float)
                 rmses = np.array(
                     [r[5] for r in rows if r[3] == 1], dtype=float

@@ -1,4 +1,4 @@
-"""Density-based clustering and the similarity-column splitting step.
+"""Density-based clustering of row-vector points (DBSCAN).
 
 The clustering pass is written from scratch (no library implementation) so
 its every tie-break is pinned down: neighborhoods are closed balls
@@ -15,12 +15,9 @@ expression gives, on any BLAS build and at any BLAS thread count.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .msc import _check_epsilon, _check_members, marginal_spread_bound
+from .tensor import as_index
 
 NOISE = -1
 
@@ -35,11 +32,12 @@ def dbscan(points, radius, minpts):
     """Classic density clustering over row-vector points.
 
     A core point has at least minpts points (itself included) within the
-    closed radius. Clusters are the maximal density-connected sets; points
-    in no cluster get the NOISE label (-1). Seeds are scanned in index
-    order and a point is labelled when first reached, so a border point
-    within reach of two clusters joins the earlier one. Returns an int
-    array of labels with cluster ids contiguous from 0 in discovery order.
+    closed radius; minpts is an integer (as_index) of 1 or more. Clusters
+    are the maximal density-connected sets; points in no cluster get the
+    NOISE label (-1). Seeds are scanned in index order and a point is
+    labelled when first reached, so a border point within reach of two
+    clusters joins the earlier one. Returns an int array of labels with
+    cluster ids contiguous from 0 in discovery order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
@@ -50,7 +48,7 @@ def dbscan(points, radius, minpts):
         raise ValueError("points contain NaN or Inf entries")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if not minpts >= 1:
+    if as_index(minpts) < 1:
         raise ValueError("minpts must be at least 1")
     n = pts.shape[0]
     near = _neighborhoods(pts, radius)
@@ -132,50 +130,3 @@ def _neighborhoods(pts, radius):
             out[lo:hi, lo:] = near
             out[lo:, lo:hi] = near.T
     return out
-
-
-def derived_radius(l, epsilon, m):
-    """Neighborhood radius sqrt(marginal_spread_bound(l, epsilon, m)).
-
-    This ties the density radius to the marginal spread allowance of a
-    size-l cluster over m slices. Clamped from below at 1e-12 so the
-    l = 2, epsilon -> 0 boundary still yields a usable radius. epsilon is
-    checked as in msc_mode.
-    """
-    if not 2 <= l <= m - 1:
-        raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
-    _check_epsilon(epsilon, m)
-    return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Sub-clusters of one mode cluster plus the members left as noise."""
-
-    clusters: list
-    noise: tuple
-    radius: float
-
-
-def split_cluster(sim, j, epsilon):
-    """Split one mode cluster by density over similarity columns.
-
-    Each member i of j is represented by the full i-th column of the
-    similarity matrix (length m, not restricted to j), and the members are
-    clustered with the derived radius and minpts = 2. Non-noise clusters
-    come back as sorted index tuples ordered by descending mean marginal;
-    noise members are reported separately. j must be 2 or more distinct
-    indices in 0..m - 1, or ValueError is raised.
-    """
-    m = sim.c.shape[0]
-    members = _check_members(j, m)
-    radius = derived_radius(len(members), epsilon, m)
-    points = sim.c[:, members].T
-    labels = dbscan(points, radius, minpts=2)
-    clusters = []
-    for cid in range(labels.max() + 1):
-        idx = tuple(members[k] for k in np.flatnonzero(labels == cid))
-        clusters.append(idx)
-    noise = tuple(members[k] for k in np.flatnonzero(labels == NOISE))
-    clusters.sort(key=lambda c: -float(np.mean(sim.d[list(c)])))
-    return SplitResult(clusters=clusters, noise=noise, radius=radius)

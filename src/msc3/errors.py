@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and a JSON reader raising them."""
+"""Exception types shared across the package, and its strict JSON codec."""
 
 import json
+
+import numpy as np
 
 
 class Msc3Error(Exception):
@@ -64,6 +66,22 @@ def load_json(text, what, schema):
         raise FormatError(f"{what} is not valid JSON: {e}") from None
     _check(doc, schema, what)
     return doc
+
+
+def dump_json(doc):
+    """doc as strict RFC 8259 JSON, indented by 2, keys in doc's order.
+
+    A numpy scalar or array is written as the value its tolist() gives. NaN
+    or an infinity raises ValueError, any other non-JSON value TypeError.
+    """
+    return json.dumps(doc, indent=2, allow_nan=False, default=_tolist)
+
+
+def _tolist(value):
+    # json's hook for a value it cannot write: numpy's, through tolist()
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _reject_constant(name):

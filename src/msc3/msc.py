@@ -5,17 +5,21 @@ eigenpair of its covariance, scale each eigenvector by its normalized
 eigenvalue, and measure slice similarity as C = |V^T V|. The row sums d of C
 separate signal slices (high d) from background. A cluster is seeded at the
 largest gap in sorted d and then shrunk until the d values over the cluster
-form a chain with no oversized step.
+form a chain with no oversized step. split_cluster then splits a cluster by
+density over its similarity columns, with a radius derived from the same
+spread bound.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .blas import blas_held
+from .dbscan import NOISE, dbscan
 from .errors import DegenerateInputError, NoGapError, ValidationError
 from .spectral import covariance, top_eigen
 from .tensor import _mode_axis, as_index
@@ -90,7 +94,10 @@ def marginal_spread_bound(l, epsilon, m):
 
 
 def _check_epsilon(epsilon, m):
-    # finite, positive, and keeping the bound at size m (so at every l) finite
+    # a real number, not a bool: finite, positive, and keeping the bound at
+    # size m (so at every l) finite
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
@@ -276,3 +283,51 @@ def msc_mode(t, mode, epsilon, eig="power"):
     on gapless marginals.
     """
     return mode_stages(t, (mode,), epsilon, eig)[0]
+
+
+def derived_radius(l, epsilon, m):
+    """Neighborhood radius sqrt(marginal_spread_bound(l, epsilon, m)).
+
+    This ties the density radius to the marginal spread allowance of a
+    size-l cluster over m slices. Clamped from below at 1e-12 so the
+    l = 2, epsilon -> 0 boundary still yields a usable radius. epsilon is
+    checked as in msc_mode, and l and m must be integers (as_index).
+    """
+    l, m = as_index(l), as_index(m)
+    if not 2 <= l <= m - 1:
+        raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
+    _check_epsilon(epsilon, m)
+    return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
+
+
+@dataclass(frozen=True)
+class SplitResult:
+    """Sub-clusters of one mode cluster plus the members left as noise."""
+
+    clusters: list
+    noise: tuple
+    radius: float
+
+
+def split_cluster(sim, j, epsilon):
+    """Split one mode cluster by density over similarity columns.
+
+    Each member i of j is represented by the full i-th column of the
+    similarity matrix (length m, not restricted to j), and the members are
+    clustered with the derived radius and minpts = 2. Non-noise clusters
+    come back as sorted index tuples ordered by descending mean marginal;
+    noise members are reported separately. j must be 2 or more distinct
+    indices in 0..m - 1, or ValueError is raised.
+    """
+    m = sim.c.shape[0]
+    members = _check_members(j, m)
+    radius = derived_radius(len(members), epsilon, m)
+    points = sim.c[:, members].T
+    labels = dbscan(points, radius, minpts=2)
+    clusters = []
+    for cid in range(labels.max() + 1):
+        idx = tuple(members[k] for k in np.flatnonzero(labels == cid))
+        clusters.append(idx)
+    noise = tuple(members[k] for k in np.flatnonzero(labels == NOISE))
+    clusters.sort(key=lambda c: -float(np.mean(sim.d[list(c)])))
+    return SplitResult(clusters=clusters, noise=noise, radius=radius)

@@ -14,14 +14,12 @@ count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dbscan import split_cluster
-from .errors import DegenerateInputError, ValidationError, load_json
-from .msc import MscResult, mode_stages
+from .errors import DegenerateInputError, ValidationError, dump_json, load_json
+from .msc import MscResult, mode_stages, split_cluster
 from .blas import blas_held
 
 PAIRING_RULE = "rank-by-mean-marginal"
@@ -174,32 +172,20 @@ def clusters_to_json(epsilon, method, modes, triset):
     "noise", "d", "bound", "converged"}], "triclusters": [{"j1", "j2",
     "j3", "score"}]}.
     """
-    doc = {
+    return dump_json({
         "epsilon": epsilon,
         "method": method,
         "modes": [
-            {
-                "mode": int(mc.mode),
-                "msc_cluster": [int(i) for i in mc.msc.cluster],
-                "clusters": [[int(i) for i in c] for c in mc.clusters],
-                "noise": [int(i) for i in mc.noise],
-                "d": [float(x) for x in mc.msc.d],
-                "bound": float(mc.msc.bound),
-                "converged": bool(mc.msc.converged),
-            }
+            {"mode": mc.mode, "msc_cluster": mc.msc.cluster,
+             "clusters": mc.clusters, "noise": mc.noise, "d": mc.msc.d,
+             "bound": mc.msc.bound, "converged": mc.msc.converged}
             for mc in modes
         ],
         "triclusters": [
-            {
-                "j1": [int(i) for i in tc.j1],
-                "j2": [int(i) for i in tc.j2],
-                "j3": [int(i) for i in tc.j3],
-                "score": float(tc.score),
-            }
+            {"j1": tc.j1, "j2": tc.j2, "j3": tc.j3, "score": tc.score}
             for tc in triset.triclusters
         ],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    })
 
 
 def clusters_from_json(text):

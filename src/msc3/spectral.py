@@ -3,7 +3,8 @@
 Two independent routes to the top eigenpair are kept on purpose: LAPACK
 (the default path, named 'power' for compatibility) and a Jacobi
 full-spectrum solver (the exact path, also the independent eigen oracle in
-the tests). They share no code beyond numpy primitives.
+the tests). They share the input check (_symmetric_stack), the sign rule
+(_fix_sign) and the EigenPair result, and no eigen arithmetic.
 
 The LAPACK route solves each matrix of a stack for its top pair only, on
 the calling thread, by the steps dsyevr takes for one pair: tridiagonal

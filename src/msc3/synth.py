@@ -19,13 +19,12 @@ uniform stream instead of any library's normal-sampler internals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, dump_json, load_json
 from .metrics import labels_from_clusters
 from .tensor import Tensor3, _mode_axis, check_index_set
 
@@ -179,19 +178,14 @@ def truth_to_json(spec, truth):
     {"dims": [...], "modes": [{"mode": 1, "clusters": [[...], ...]}, ...],
     "gammas": [...], "seed": N}
     """
-    modes = []
-    for axis in range(3):
-        clusters = [
-            [int(i) for i in comp[axis]] for comp in truth.components
-        ]
-        modes.append({"mode": axis + 1, "clusters": clusters})
-    doc = {
-        "dims": [int(m) for m in spec.dims],
-        "modes": modes,
-        "gammas": [float(c.gamma) for c in spec.components],
-        "seed": int(spec.seed),
-    }
-    return json.dumps(doc, indent=2)
+    return dump_json({
+        "dims": spec.dims,
+        "modes": [{"mode": axis + 1,
+                   "clusters": [comp[axis] for comp in truth.components]}
+                  for axis in range(3)],
+        "gammas": [c.gamma for c in spec.components],
+        "seed": spec.seed,
+    })
 
 
 def truth_from_json(text):

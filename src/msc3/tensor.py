@@ -28,7 +28,8 @@ def as_index(value):
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"an index or mode must be an integer, got {value!r}")
+    raise ValueError(
+        f"an index, mode or count must be an integer, got {value!r}")
 
 
 def check_index_set(indices, size, mode):

@@ -7,7 +7,8 @@ Msc3Error; it must never raise another exception or emit a warning (warnings
 are turned into errors here, so a RuntimeWarning fails the example).
 Out-of-range or repeated indices, modes and sizes given to refine_cluster,
 split_cluster, msc_mode, slice_spectra and benchmark_spec raise ValueError
-too, as do indices and modes that are not integers or are bools.
+too, as do indices, modes, sizes and minpts that are not integers or are
+bools, and an epsilon that is a bool or not a real number.
 """
 
 import math
@@ -31,6 +32,7 @@ from msc3 import (
     labels_from_clusters,
     msc_mode,
     refine_cluster,
+    run_msc_dbscan,
     slice_spectra,
     split_cluster,
     top_eigen,
@@ -208,17 +210,39 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
     lambda: split_cluster(_SIM, (0.5, 1.7), 0.1),
     lambda: msc_mode(_T, True, 0.1),
     lambda: msc_mode(_T, 2.0, 0.1),
+    # an epsilon that is a bool or not a real number
+    lambda: run_msc_dbscan(_T, True),
+    lambda: msc_mode(_T, 1, "0.1"),
+    lambda: refine_cluster((0, 3), _D, None, 12),
+    lambda: split_cluster(_SIM, (0, 1), "x"),
+    lambda: derived_radius(3, np.True_, 12),
+    # a size or minpts that is not an integer
+    lambda: derived_radius(3.5, 0.1, 12),
+    lambda: derived_radius(3, 0.1, 12.0),
+    lambda: dbscan(np.zeros((3, 2)), 1.0, 1.5),
+    lambda: dbscan(np.zeros((3, 2)), 1.0, math.inf),
+    lambda: dbscan(np.zeros((3, 2)), 1.0, True),
 ], ids=["refine-negative", "refine-past-end", "refine-repeated",
         "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
         "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative",
         "slice-index-true", "slice-index-false", "slice-index-float",
         "index-set-bool-array", "subcube-float", "subcube-bool",
         "labels-float", "unit-vector-float", "refine-float", "split-float",
-        "msc-mode-true", "msc-mode-float"])
+        "msc-mode-true", "msc-mode-float", "run-epsilon-true",
+        "msc-epsilon-str", "refine-epsilon-none", "split-epsilon-str",
+        "radius-epsilon-numpy-bool", "radius-size-float", "radius-m-float",
+        "minpts-float", "minpts-inf", "minpts-true"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
         call()
+
+
+def test_numpy_reals_are_epsilons_and_numpy_integers_counts():
+    assert (derived_radius(np.int64(3), np.float64(0.1), np.int32(12))
+            == derived_radius(3, 0.1, 12))
+    assert refine_cluster((0, 3), _D, np.float32(0.1), 4).cluster == (0, 3)
+    assert dbscan(np.zeros((3, 2)), 1.0, np.int64(2)).tolist() == [0, 0, 0]
 
 
 def test_numpy_integers_and_ranges_are_indices():

@@ -17,7 +17,8 @@ import threading
 import numpy as np
 import pytest
 
-from msc3 import benchmark_spec, blas, covariance, generate, save_tensor
+from msc3 import (benchmark_spec, blas, covariance, generate, save_tensor,
+                  top_eigenpair)
 
 from _oracles import dsyevr_top
 
@@ -210,6 +211,39 @@ def test_sweep_jobs_run_one_solver_thread_each(tmp_path):
     """
     proc = _python(code, 120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_blas_held_without_a_thread_control(monkeypatch):
+    # another BLAS exports no thread-count pair: every scope, nested or as
+    # a decorator, only runs its body and sets no count. numpy's OpenBLAS,
+    # where it has the pair, is set to 2 here and must stay at 2.
+    control = blas._blas_control()
+
+    def count():
+        return control[0]() if control else None
+
+    monkeypatch.setattr(blas, "_blas_control", lambda: None)
+    seen = []
+
+    @blas.blas_held()
+    def solve():
+        seen.append((blas._depth, count()))
+        return top_eigenpair(np.eye(3))
+
+    saved = count()
+    if control:
+        control[1](2)
+    try:
+        with blas.blas_held():
+            with blas.blas_held():
+                pair = solve()
+            seen.append((blas._depth, count()))
+    finally:
+        if control:
+            control[1](saved)
+    assert pair.value == 1.0
+    assert seen == [(0, 2 if control else None)] * 2
+    assert blas._function("no_such_symbol", None) is None
 
 
 @needs_control

@@ -239,6 +239,18 @@ def test_numpy_integer_modes_serialize_as_int_modes():
     assert [m["mode"] for m in json.loads(docs[1])["modes"]] == [1, 2, 3]
 
 
+def test_numpy_epsilons_serialize_as_their_values():
+    # an np.float32 or np.int64 epsilon raised "Object of type float32 is
+    # not JSON serializable"; each is written as the value it holds
+    t, _ = generate(_block_spec([30.0]))
+    run = run_msc_dbscan(t, epsilon=0.1)
+    for eps, cast in ((np.float32(0.1), float), (np.int64(1), int)):
+        doc = clusters_to_json(eps, "msc-dbscan", *run)
+        assert doc == clusters_to_json(cast(eps), "msc-dbscan", *run)
+    assert '"epsilon": 0.10000000149011612,' in clusters_to_json(
+        np.float32(0.1), "msc-dbscan", *run)
+
+
 def test_repeated_runs_serialize_identically():
     spec = _block_spec([25.0, 25.0], noise=0.05, seed=3)
     docs = []

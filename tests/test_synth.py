@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ def test_truth_json_round_trip_and_key_order():
     assert doc["gammas"] == [65.0, 65.0]
     assert doc["seed"] == 4
     assert list(doc["modes"][0].keys()) == ["mode", "clusters"]
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_truth_json_rejects_a_non_finite_gamma(gamma):
+    # only the clusters writer was strict: a gamma of inf was written as
+    # Infinity, which no strict JSON reader takes
+    spec = benchmark_spec(65.0, seed=4, dims=(12, 12, 12), cluster_size=3)
+    _, truth = generate(spec)
+    bad = replace(spec, components=[replace(c, gamma=gamma)
+                                    for c in spec.components])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        truth_to_json(bad, truth)
 
 
 @pytest.mark.parametrize("text, error", [
