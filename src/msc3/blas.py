@@ -2,9 +2,11 @@
 
 blas_held() sets numpy's bundled OpenBLAS to one thread for as long as a run
 lasts, which makes every BLAS result of the run independent of the core
-count. The control is the thread-count pair that numpy's wheels export from
-their scipy-openblas build; where it is missing (another BLAS), BLAS runs as
-it is set. The same build's LAPACKE dsytrd, dstevx and dormtr (the steps
+count. The count is the process's, so it holds for spectral.top_eigen's
+helper thread too, which runs inside its caller's hold: a run then calls
+BLAS from two threads at most, each single-threaded. The control is the
+thread-count pair that numpy's wheels export from their scipy-openblas
+build; where it is missing (another BLAS), BLAS runs as it is set. The same build's LAPACKE dsytrd, dstevx and dormtr (the steps
 dsyevr takes for one pair) give spectral.top_eigenpair the top pair of each
 matrix (top_pairs); where any of them is missing, top_pairs finds none.
 """
@@ -108,7 +110,8 @@ def blas_held():
 def top_pairs(a):
     """Largest eigenpair of each matrix of a (k, n, n) float64 stack.
 
-    Per matrix, on the calling thread, the three LAPACK steps that dsyevr
+    Per matrix, on the thread that calls it (the calling thread of
+    spectral.top_eigen or its helper), the three LAPACK steps that dsyevr
     takes for one pair (RANGE='I', IL = IU = n): dsytrd reduces it to
     tridiagonal form, dstevx finds the top pair of that by bisection and
     inverse iteration (dstebz, dstein), and dormtr maps the vector back.
@@ -116,10 +119,11 @@ def top_pairs(a):
     dsyevr's. dormtr gets 1, so it applies the reflectors one at a time:
     the blocked form builds T factors that pay off only over many vectors.
     Each matrix is read in the triangle that numpy.linalg.eigh reads
-    (row-major 'L', which is column-major 'U') from a C-order copy, since
-    dsytrd overwrites it. Returns (lambda, v, found), found being False
-    where a step failed or dstevx did not return exactly one pair, and for
-    every matrix where any of the three functions is missing.
+    (row-major 'L', which is column-major 'U') from a C-order copy of that
+    matrix alone, since dsytrd overwrites it. Returns (lambda, v, found),
+    found being False where a step failed or dstevx did not return exactly
+    one pair, and for every matrix where any of the three functions is
+    missing.
     """
     k, n, _ = a.shape
     lam, v = np.zeros(k), np.zeros((k, n))
@@ -128,7 +132,8 @@ def top_pairs(a):
     if fns is None:
         return lam, v, found
     trd, stevx, ormtr = fns
-    work = np.array(a, dtype=np.float64, order="C")
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    work = np.empty((n, n))
     # one workspace for the stack: rows d, e, tau and w (dstevx's eigenvalue
     # slots), then dsytrd's 28n, which dstevx's 5n and dormtr's 1 reuse;
     # dstevx's iwork (5n), then its ifail (n)
@@ -136,8 +141,8 @@ def top_pairs(a):
     d, e, tau, w, wk = (r.ctypes.data_as(ctypes.c_void_p) for r in buf[:5])
     iwork, ifail = (r.ctypes.data_as(ctypes.c_void_p) for r in ibuf[::5])
     # the arguments as ctypes objects, built once, which ctypes passes on
-    # without converting; each matrix only repoints mat and vec
-    mat, vec, m = ctypes.c_void_p(), ctypes.c_void_p(), _INT()
+    # without converting; each matrix is copied to work and repoints vec
+    mat, vec, m = ctypes.c_void_p(work.ctypes.data), ctypes.c_void_p(), _INT()
     col, zero = ctypes.c_int(_COL_MAJOR), ctypes.c_double(0.0)
     nn, one = _INT(n), _INT(1)
     up, jobz, rng, side, trans = map(ctypes.c_char, b"UVILN")
@@ -146,9 +151,10 @@ def top_pairs(a):
                   ctypes.byref(m), w, vec, nn, wk, iwork, ifail)
     ormtr_args = (col, side, up, trans, nn, one, mat, nn, tau, vec, nn, wk,
                   one)
-    at_a, at_v = work.ctypes.data, v.ctypes.data
+    at_a, at_v, size = a.ctypes.data, v.ctypes.data, 8 * n * n
     for i in range(k):
-        mat.value, vec.value = at_a + 8 * i * n * n, at_v + 8 * i * n
+        ctypes.memmove(mat, at_a + i * size, size)
+        vec.value = at_v + 8 * i * n
         found[i] = (trd(*trd_args) == 0 and stevx(*stevx_args) == 0
                     and m.value == 1 and ormtr(*ormtr_args) == 0)
         lam[i] = buf[3, 0]

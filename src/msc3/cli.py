@@ -32,7 +32,7 @@ from .pipeline import (
     modes_from_msc,
     run_msc_dbscan,
 )
-from .spectral import EIG_ROUTES
+from .spectral import EIG_ROUTES, no_helper_thread
 from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
 from .tensor import _mode_axis, integer, load_tensor, number, save_tensor
 
@@ -236,8 +236,10 @@ def cmd_sweep(args):
     # the pool starts all its workers at once: no more than cells or cores
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
-        # each job's runs hold BLAS at one thread, so N jobs use N threads
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # each job's runs hold BLAS at one thread and start no helper
+        # thread, so N jobs use N threads
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=no_helper_thread) as pool:
             cells = list(pool.map(_sweep_one, tasks))
     else:
         cells = map(_sweep_one, tasks)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import as_index
+from .tensor import as_index, as_real
 
 NOISE = -1
 
@@ -32,11 +32,12 @@ def dbscan(points, radius, minpts):
     """Classic density clustering over row-vector points.
 
     A core point has at least minpts points (itself included) within the
-    closed radius; minpts is an integer (as_index) of 1 or more. Clusters
-    are the maximal density-connected sets; points in no cluster get the
-    NOISE label (-1). Seeds are scanned in index order and a point is
-    labelled when first reached, so a border point within reach of two
-    clusters joins the earlier one. Returns an int array of labels with
+    closed radius; radius is a positive real number (as_real) and minpts an
+    integer (as_index) of 1 or more. Clusters are the maximal
+    density-connected sets; points in no cluster get the NOISE label (-1).
+    Seeds are scanned in index order and a point is labelled when first
+    reached, so a border point within reach of two clusters joins the
+    earlier one. Returns an int array of labels with
     cluster ids contiguous from 0 in discovery order.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -46,7 +47,7 @@ def dbscan(points, radius, minpts):
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf entries")
-    if not radius > 0:
+    if not as_real(radius, "radius") > 0:
         raise ValueError("radius must be positive")
     if as_index(minpts) < 1:
         raise ValueError("minpts must be at least 1")

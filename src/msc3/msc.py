@@ -13,7 +13,6 @@ spread bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .blas import blas_held
 from .dbscan import NOISE, dbscan
 from .errors import DegenerateInputError, NoGapError, ValidationError
 from .spectral import covariance, top_eigen
-from .tensor import _mode_axis, as_index
+from .tensor import _mode_axis, as_index, as_real
 
 EQUAL_TOL = 1e-12
 
@@ -86,22 +85,24 @@ def marginal_spread_bound(l, epsilon, m):
     """Spread allowance for a size-l cluster over m slices.
 
     l * epsilon / 2 + sqrt(max(0, ln(m - l))); the log term is clamped to 0
-    when m - l <= 1 so the bound is defined for every feasible size.
+    when m - l <= 1 so the bound is defined for every feasible size. epsilon
+    is taken as a float, whatever real type it comes in.
     """
     gap = m - l
     term = math.sqrt(math.log(gap)) if gap >= 1 else 0.0
-    return l * epsilon / 2.0 + term
+    return l * float(epsilon) / 2.0 + term
 
 
 def _check_epsilon(epsilon, m):
-    # a real number, not a bool: finite, positive, and keeping the bound at
-    # size m (so at every l) finite
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+    # epsilon as the float a run computes with: a real number (as_real),
+    # finite, positive, and keeping the bound at size m (so at every l)
+    # finite
+    epsilon = as_real(epsilon, "epsilon")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
         raise ValueError(f"epsilon {epsilon} overflows the spread bound")
+    return epsilon
 
 
 def _check_marginals(d):
@@ -218,9 +219,11 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     smallest d is removed and the test repeats. Removal-only, so the loop
     runs at most |j0| - 1 times. If the size drops below 2 the result is an
     empty, non-converged cluster. epsilon and d are checked as in msc_mode
-    and initial_cluster_by_gap, and j0 as in _check_members.
+    and initial_cluster_by_gap, j0 as in _check_members, and m must be an
+    integer (as_index).
     """
-    _check_epsilon(epsilon, m)
+    m = as_index(m)
+    epsilon = _check_epsilon(epsilon, m)
     d = _check_marginals(d)
     members = _check_members(j0, d.size)
     while len(members) >= 2:
@@ -296,7 +299,7 @@ def derived_radius(l, epsilon, m):
     l, m = as_index(l), as_index(m)
     if not 2 <= l <= m - 1:
         raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
-    _check_epsilon(epsilon, m)
+    epsilon = _check_epsilon(epsilon, m)
     return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
 
 

@@ -6,12 +6,12 @@ full-spectrum solver (the exact path, also the independent eigen oracle in
 the tests). They share the input check (_symmetric_stack), the sign rule
 (_fix_sign) and the EigenPair result, and no eigen arithmetic.
 
-The LAPACK route solves each matrix of a stack for its top pair only, on
-the calling thread, by the steps dsyevr takes for one pair: tridiagonal
-reduction, bisection and inverse iteration, and the one vector mapped back
-(blas.top_pairs). A matrix that this does not solve to the residual test
-goes to a full eigh of that matrix alone, as does every matrix where
-numpy's BLAS lacks one of those LAPACK functions.
+The LAPACK route solves each matrix of a stack for its top pair only, by
+the steps dsyevr takes for one pair: tridiagonal reduction, bisection and
+inverse iteration, and the one vector mapped back (blas.top_pairs). A
+matrix that this does not solve to the residual test goes to a full eigh
+of that matrix alone, as does every matrix where numpy's BLAS lacks one of
+those LAPACK functions.
 
 The Jacobi solver uses the round-robin ("circle") parallel ordering of
 Brent and Luk (SIAM J. Sci. Stat. Comput., 1985): each of the n - 1 steps
@@ -19,14 +19,20 @@ of a sweep rotates n/2 disjoint index pairs at once, as one vectorized
 row, column and eigenvector update. It also takes a stack of matrices.
 
 top_eigen alone splits covariances into stacks: runs of one shape, of about
-1 MiB each, so that the covariances of all three modes of a run go through
-one call, and a stack ends where the shape changes. Both routes solve each
-whole stack on the calling thread, with numpy's OpenBLAS held at one thread
-(blas.blas_held).
+512 KiB each, so that the covariances of all three modes of a run go through
+one call, and a stack ends where the shape changes. The Jacobi route solves
+each whole stack on the calling thread. The LAPACK route hands each whole
+stack to one helper thread when that thread is idle, and solves it on the
+calling thread otherwise, so that the calling thread builds the next stack
+while the helper solves one; a stack is never split between threads. Both
+run with numpy's OpenBLAS held at one thread (blas.blas_held).
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +44,13 @@ JACOBI_MAX_N = 512
 # Jacobi's stopping test (off-diagonal norm / ||C||_F) and sweep budget
 _JACOBI_TOL = 1e-12
 _JACOBI_SWEEPS = 60
-# covariances that one top_eigenpair or full_eigen_jacobi call takes at once
-_CHUNK_BYTES = 1 << 20
+# covariances that one top_eigenpair or full_eigen_jacobi call takes at once;
+# with the helper thread two such stacks are alive
+_CHUNK_BYTES = 1 << 19
 # top_eigen's routes: LAPACK (the default) and Jacobi
 EIG_ROUTES = ("power", "exact")
+# whether top_eigen may start its helper thread (no_helper_thread clears it)
+_use_helper = True
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,12 @@ def _symmetric_stack(c):
         raise _MatrixError(np.argmax(bad), "has NaN or Inf entries, or "
                            "4 ||C||_F^2 overflows")
     if a.shape[-1] > 1 and a.size:
-        # one temporary: the difference, made absolute in place
-        d = a - np.swapaxes(a, -1, -2)
-        bad = np.abs(d, out=d).max(axis=(1, 2)) > 1e-9
+        # exact symmetry first, through a one-byte temporary rather than a
+        # float difference as large as the stack; only a matrix that fails
+        # it gets the difference, of itself alone
+        bad = ~(a == np.swapaxes(a, -1, -2)).all(axis=(1, 2))
+        for i in np.flatnonzero(bad):
+            bad[i] = np.abs(a[i] - a[i].T).max() > 1e-9
         if bad.any():
             raise _MatrixError(np.argmax(bad), "is not symmetric within 1e-9")
     return a, single
@@ -126,6 +138,13 @@ def top_eigenpair(c, tol=1e-10):
     nonnegative. A matrix not finite and symmetric, or with
     4 ||C||_F^2 = inf, raises ValidationError.
     """
+    return _top_eigenpair(c, tol)
+
+
+def _top_eigenpair(c, tol=1e-10):
+    # top_eigenpair's body, which top_eigen's helper thread runs inside the
+    # calling thread's BLAS hold: it calls no function that the benchmark's
+    # tracer wraps, whose spans belong to the calling thread
     a, single = _symmetric_stack(c)
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -306,40 +325,106 @@ def top_eigen(covs, eig="power"):
     This is the one place that decides how covariances are solved. Both
     routes pull consecutive matrices of one shape from the iterable into a
     stack of about _CHUNK_BYTES; a full stack, or a matrix of another
-    shape, ends it. Each stack is solved on the calling thread before the
-    next is pulled, so one stack is alive at once: 'power' with one
-    top_eigenpair call, 'exact' with one full_eigen_jacobi call, clamping
-    each top eigenvalue at 0. numpy's OpenBLAS is held at one thread
-    throughout (blas.blas_held).
+    shape, ends it. 'exact' solves each stack with one full_eigen_jacobi
+    call on the calling thread before the next is pulled, clamping each
+    top eigenvalue at 0. 'power' hands each stack but the last to one
+    helper thread when that thread is idle, and otherwise solves it with
+    one top_eigenpair call on the calling thread, so that at most two
+    stacks are alive at once. The helper runs top_eigenpair's untraced
+    body and gives every matrix the bits the calling thread would. It is
+    started in the call and joined before the call returns or raises, and
+    none is started where the process may use one core only, or in a
+    process that called no_helper_thread. numpy's OpenBLAS is held at one
+    thread throughout (blas.blas_held).
     Items that are not square matrices raise ValueError; a matrix that the
     solvers reject raises their ValidationError, as "matrix i" of covs.
-    Returns a list with one EigenPair per matrix.
+    The first matrix in input order that fails raises, whichever thread
+    solved it. Returns a list with one EigenPair per matrix.
     """
     if eig not in EIG_ROUTES:
         raise ValueError(f"unknown eig route {eig!r}")
-    out, stack = [], []
+    with blas.blas_held(), _helper(eig) as helper:
+        return _solve_stacks(covs, eig, helper)
 
-    def solve():
-        a = np.stack(stack)
-        stack.clear()
-        try:
-            if eig == "exact":
-                return [EigenPair(max(s[0].value, 0.0), s[0].vector)
-                        for s in full_eigen_jacobi(a)]
-            return top_eigenpair(a)
-        except _MatrixError as e:
-            raise _MatrixError(len(out) + e.index, e.problem) from None
 
-    with blas.blas_held():
+def no_helper_thread():
+    """Solve every stack of this process on the calling thread from now on.
+
+    sweep --jobs N runs this in each worker process, so that N workers use
+    N cores.
+    """
+    global _use_helper
+    _use_helper = False
+
+
+@contextlib.contextmanager
+def _helper(eig):
+    # an executor of one thread for top_eigen's power route, or None; its
+    # exit joins the thread
+    if (eig != "power" or not _use_helper
+            or len(os.sched_getaffinity(0)) < 2):
+        yield None
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="msc3-solver") as pool:
+        yield pool
+
+
+def _solve_stacks(covs, eig, helper):
+    # top_eigen's loop: the stacks of covs in order, each solved on the
+    # helper (a Future in parts) or here (a list of pairs in parts)
+    parts, busy, start = [], None, 0
+
+    def solve(stack, last):
+        nonlocal busy, start
+        if helper and not last and (busy is None or busy.done()):
+            if busy is not None:
+                busy.result()  # raises the helper's error, if any
+            busy = helper.submit(_located, _top_eigenpair, stack, start)
+            parts.append(busy)
+        else:
+            parts.append(_located(_exact_top if eig == "exact"
+                                  else top_eigenpair, stack, start))
+        start += len(stack)
+
+    try:
+        stack = None
         for c in covs:
             c = np.asarray(c, dtype=np.float64)
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise ValueError(f"expected square matrices, got {c.shape}")
-            if stack and c.shape != stack[0].shape:
-                out += solve()
-            stack.append(c)
-            if len(stack) >= _CHUNK_BYTES // max(c.nbytes, 1):
-                out += solve()
-        if stack:
-            out += solve()
-    return out
+            if stack is not None and c.shape != stack.shape[1:]:
+                solve(stack[:k], False)
+                stack = None
+            if stack is None:
+                # a new buffer once the last one is handed off, so that at
+                # most two are alive: the helper's and this one
+                count = max(_CHUNK_BYTES // max(c.nbytes, 1), 1)
+                stack, k = np.empty((count, *c.shape)), 0
+            stack[k] = c
+            k += 1
+            if k == len(stack):
+                solve(stack, False)
+                stack = None
+        if stack is not None:
+            solve(stack[:k], True)
+    except BaseException as e:
+        # the helper's stack comes before e's in input order
+        if busy is not None and busy.exception() not in (None, e):
+            raise busy.exception() from None
+        raise
+    return [pair for part in parts
+            for pair in (part if isinstance(part, list) else part.result())]
+
+
+def _located(solve, stack, start):
+    # solve(stack), naming a rejected matrix by its index within covs
+    try:
+        return solve(stack)
+    except _MatrixError as e:
+        raise _MatrixError(start + e.index, e.problem) from None
+
+
+def _exact_top(stack):
+    # the top Jacobi pair of each matrix, its eigenvalue clamped at 0
+    return [EigenPair(max(s[0].value, 0.0), s[0].vector)
+            for s in full_eigen_jacobi(stack)]

@@ -4,11 +4,13 @@ Layout is row-major: entry (i, j, k) of an m1 x m2 x m3 tensor lives at flat
 index ((i * m2) + j) * m3 + k, which is exactly numpy C order for shape
 (m1, m2, m3).
 
-Indices (0-based) and modes (1, 2, 3) are integers everywhere (as_index).
+Indices (0-based) and modes (1, 2, 3) are integers everywhere (as_index),
+and real parameters (epsilon, a radius) are real numbers (as_real).
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -30,6 +32,17 @@ def as_index(value):
         return int(value)
     raise ValueError(
         f"an index, mode or count must be an integer, got {value!r}")
+
+
+def as_real(value, name):
+    """value as a float, if it is a real number and not a bool.
+
+    Anything else raises ValueError naming it; numpy's bool is no real
+    number, and float() would read True as 1.0.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def check_index_set(indices, size, mode):

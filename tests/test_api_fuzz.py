@@ -30,6 +30,7 @@ from msc3 import (
     full_eigen_jacobi,
     initial_cluster_by_gap,
     labels_from_clusters,
+    marginal_spread_bound,
     msc_mode,
     refine_cluster,
     run_msc_dbscan,
@@ -222,6 +223,12 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
     lambda: dbscan(np.zeros((3, 2)), 1.0, 1.5),
     lambda: dbscan(np.zeros((3, 2)), 1.0, math.inf),
     lambda: dbscan(np.zeros((3, 2)), 1.0, True),
+    lambda: refine_cluster((0, 3), _D, 0.1, 4.5),
+    # a radius that is a bool or not a real number
+    lambda: dbscan(np.zeros((3, 2)), True, 1),
+    lambda: dbscan(np.zeros((3, 2)), "x", 1),
+    # a numpy epsilon whose bound overflows, checked in float arithmetic
+    lambda: derived_radius(3, np.float64(1e308), 12),
 ], ids=["refine-negative", "refine-past-end", "refine-repeated",
         "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
         "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative",
@@ -231,7 +238,9 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
         "msc-mode-true", "msc-mode-float", "run-epsilon-true",
         "msc-epsilon-str", "refine-epsilon-none", "split-epsilon-str",
         "radius-epsilon-numpy-bool", "radius-size-float", "radius-m-float",
-        "minpts-float", "minpts-inf", "minpts-true"])
+        "minpts-float", "minpts-inf", "minpts-true", "refine-m-float",
+        "dbscan-radius-true", "dbscan-radius-str",
+        "radius-epsilon-numpy-overflow"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
@@ -243,6 +252,22 @@ def test_numpy_reals_are_epsilons_and_numpy_integers_counts():
             == derived_radius(3, 0.1, 12))
     assert refine_cluster((0, 3), _D, np.float32(0.1), 4).cluster == (0, 3)
     assert dbscan(np.zeros((3, 2)), 1.0, np.int64(2)).tolist() == [0, 0, 0]
+
+
+def test_a_numpy_epsilon_is_computed_with_as_its_float():
+    # a float32 epsilon was used as it came: a float32 bound, and numpy's
+    # overflow warning where float arithmetic gives a finite bound
+    assert marginal_spread_bound(3, np.float32(0.1), 12) == (
+        marginal_spread_bound(3, float(np.float32(0.1)), 12))
+    assert type(marginal_spread_bound(3, np.float32(0.1), 12)) is float
+    assert marginal_spread_bound(3, np.float32(0.1), 12) == 1.6323038096026854
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius = derived_radius(3, np.float32(3e38), 12)
+        bound = refine_cluster((0, 3), _D, np.float32(0.1), 4).bound
+    assert radius == derived_radius(3, float(np.float32(3e38)), 12)
+    assert type(bound) is float and bound == marginal_spread_bound(
+        2, float(np.float32(0.1)), 4)
 
 
 def test_numpy_integers_and_ranges_are_indices():

@@ -109,6 +109,87 @@ def test_similarity_matrix_does_not_depend_on_blas_threads(tmp_path):
     assert one[1] == two[1], "similarity C differs"
 
 
+needs_two_cores = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="top_eigen starts its helper thread only on two or more cores")
+
+# prefixed to a child's code: pinned to one core, the process starts no
+# helper thread; a stderr line counts the stacks the helper solved
+_ON_CORES = """
+    import os, sys, threading
+    from msc3 import spectral
+    if {pin}:
+        os.sched_setaffinity(0, {{0}})
+    body, helper = spectral._top_eigenpair, []
+
+    def counted(stack, *args):
+        if threading.current_thread() is not threading.main_thread():
+            helper.append(len(stack))
+        return body(stack, *args)
+
+    spectral._top_eigenpair = counted
+"""
+
+
+def _on_one_and_two_cores(code):
+    # the child's stdout pinned to one core and on two, each with the
+    # count of stacks its helper thread solved
+    runs = []
+    for pin in (True, False):
+        proc = _python(textwrap.dedent(_ON_CORES.format(pin=pin))
+                       + textwrap.dedent(code)
+                       + "\nprint(len(helper), file=sys.stderr)\n", 120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, int(proc.stderr.splitlines()[-1])))
+    (one, none), (two, some) = runs
+    assert none == 0 and some > 0
+    return one, two
+
+
+@needs_two_cores
+def test_cluster_output_does_not_depend_on_the_helper_thread(tmp_path):
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(60.0, 0, dims=(100, 100, 100)))[0],
+                path)
+    one, two = _on_one_and_two_cores(f"""
+        import contextlib, io
+        from msc3.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["cluster", {path!r}]) == 0
+        print(out.getvalue(), end="")
+    """)
+    assert one == two and one.startswith(b"{")
+
+
+@needs_two_cores
+def test_top_pairs_do_not_depend_on_the_helper_thread():
+    # stacks of 4 of several shapes; the first, which the helper always
+    # takes, holds a zero matrix, which goes to eigh on the helper thread
+    one, two = _on_one_and_two_cores("""
+        import numpy as np
+        from msc3 import covariance, top_eigen
+        eigh_top, fell = spectral._eigh_top, []
+
+        def counted(c, tol):
+            fell.append(threading.current_thread().name)
+            return eigh_top(c, tol)
+
+        spectral._eigh_top = counted
+        spectral._CHUNK_BYTES = 4 * 8 * 30 * 30
+        rng = np.random.default_rng(5)
+        mats = [covariance(rng.standard_normal((n + 2, n)))
+                for n in [30] * 9 + [7] * 40 + [1] * 3 + [30] * 6]
+        mats[2] = np.zeros((30, 30))
+        for pair in top_eigen(iter(mats)):
+            print(pair.value.hex(), pair.vector.tobytes().hex())
+        on_main = fell == [threading.main_thread().name]
+        assert len(fell) == 1 and on_main == (
+            len(os.sched_getaffinity(0)) == 1)
+    """)
+    assert one == two and len(one.splitlines()) == 58
+
+
 def test_a_cluster_run_loads_no_scipy(tmp_path):
     # numpy is the one runtime dependency; scipy is a test extra, so a
     # stray import of it would pass every in-process test

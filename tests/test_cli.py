@@ -10,6 +10,7 @@ import pytest
 
 from msc3 import DegenerateInputError, Tensor3, ari, cli, load_tensor, save_tensor
 from msc3.cli import AGGREGATE_HEADER, RESULT_HEADER, main
+from msc3.spectral import no_helper_thread
 
 
 def _synth_args(tmp_path, name="t.t3b", truth=None, gamma="25", rank=2,
@@ -816,7 +817,10 @@ def test_sweep_asks_for_no_more_workers_than_cells_or_cores(
     asked = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            # the workers solve on one thread each; not run here, where it
+            # would turn the helper thread off for the rest of the test run
+            assert initializer is no_helper_thread
             asked.append(max_workers)
 
         def __enter__(self):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -350,32 +353,43 @@ def _covs(n):
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
-    # each stack is solved before the next one is pulled, so one chunk is
-    # alive at once on either route; the budget here holds 2 matrices
+    # 'exact', and 'power' with the helper thread off, solve each stack
+    # before the next one is pulled, so one chunk is alive at once; with the
+    # helper on, 'power' keeps at most two (the helper's and the one being
+    # built). The budget here holds 2 matrices.
     mats = _covs(n)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * n * n)
-    for method, name in (("power", "top_eigenpair"),
-                         ("exact", "full_eigen_jacobi")):
-        pulled, seen = [], []
+    for method, name, helper in (("power", "_top_eigenpair", True),
+                                 ("power", "_top_eigenpair", False),
+                                 ("exact", "full_eigen_jacobi", True)):
+        monkeypatch.setattr(spectral, "_use_helper", helper)
+        pulled, solved, seen = [], [], []
         solve = getattr(spectral, name)
 
         def one_shot():
             for c in mats:
                 pulled.append(c)
+                assert len(pulled) - sum(solved) <= 2 * 2
                 yield c
 
-        def traced(chunk):
+        def traced(chunk, *args):
             seen.append((len(pulled), len(chunk)))
-            return solve(chunk)
+            pairs = solve(chunk, *args)
+            solved.append(len(chunk))
+            return pairs
 
         monkeypatch.setattr(spectral, name, traced)
         got = top_eigen(one_shot(), method)
         monkeypatch.setattr(spectral, name, solve)
-        assert seen == [(2, 2), (4, 2), (5, 1)]
-        want = [solve(c) for c in mats]
+        if helper and method == "power":
+            assert sorted(size for _, size in seen) == [1, 2, 2]
+        else:
+            assert seen == [(2, 2), (4, 2), (5, 1)]
         if method == "exact":
             want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
-                    for s in want]
+                    for s in map(solve, mats)]
+        else:
+            want = [top_eigenpair(c) for c in mats]
         assert _same_pairs(got, want)
 
 
@@ -466,26 +480,35 @@ def test_a_power_run_calls_top_eigenpair_once(tmp_path, capsys, monkeypatch):
 
 def test_top_eigen_ends_a_stack_at_a_change_of_shape(monkeypatch):
     # 44 matrices of 6 x 6 in stacks of 5 (the budget), then 18 of 4 x 4 in
-    # stacks of 11; each matrix gets the bits it gets alone
+    # stacks of 11; each matrix gets the bits it gets alone. The helper
+    # thread, when on, solves some stacks in parallel, so only their sizes
+    # are in a fixed order.
     mats = ([random_psd(6, seed=500 + i) for i in range(44)]
             + [random_psd(4, seed=600 + i) for i in range(18)])
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * 6 * 6)
-    for method, name in (("power", "top_eigenpair"),
-                         ("exact", "full_eigen_jacobi")):
+    want_sizes = [(5, 6, 6)] * 8 + [(4, 6, 6), (11, 4, 4), (7, 4, 4)]
+    for method, name, helper in (("power", "_top_eigenpair", False),
+                                 ("power", "_top_eigenpair", True),
+                                 ("exact", "full_eigen_jacobi", True)):
+        monkeypatch.setattr(spectral, "_use_helper", helper)
         solve, sizes = getattr(spectral, name), []
 
-        def traced(stack):
+        def traced(stack, *args):
             sizes.append(stack.shape)
-            return solve(stack)
+            return solve(stack, *args)
 
         monkeypatch.setattr(spectral, name, traced)
         got = top_eigen(iter(mats), method)
         monkeypatch.setattr(spectral, name, solve)
-        assert sizes == [(5, 6, 6)] * 8 + [(4, 6, 6), (11, 4, 4), (7, 4, 4)]
-        want = [solve(c) for c in mats]
+        if helper and method == "power":
+            assert sorted(sizes) == sorted(want_sizes)
+        else:
+            assert sizes == want_sizes
         if method == "exact":
             want = [spectral.EigenPair(max(s[0].value, 0.0), s[0].vector)
-                    for s in want]
+                    for s in map(solve, mats)]
+        else:
+            want = [top_eigenpair(c) for c in mats]
         assert _same_pairs(got, want)
 
 
@@ -658,6 +681,87 @@ def test_top_eigen_names_a_rejected_matrix_within_covs(method, bad, problem,
     covs = [np.eye(2)] * 5 + [np.array(bad)]
     with pytest.raises(ValidationError, match=f"^matrix 5 {problem}"):
         top_eigen(covs, method)
+
+
+@pytest.mark.parametrize("timing", ["no-helper", "helper-holds-first",
+                                    "helper-takes-all"])
+def test_top_eigen_raises_the_first_failure_in_input_order(timing,
+                                                           monkeypatch):
+    # stacks of 2, and each case gives the same error whichever thread
+    # solves which stack. "helper-holds-first": the helper thread, which
+    # always takes the first stack, solves it only once the last item is
+    # pulled or a stack on the calling thread has failed, so its error must
+    # still come before any later one. "helper-takes-all": the items come
+    # slowly, so the helper is idle at every full stack and takes each but
+    # the last, naming its matrices within covs.
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+    monkeypatch.setattr(spectral, "_use_helper", timing != "no-helper")
+    asym, eye = np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2)
+    release = threading.Event()
+    body, solve = spectral._top_eigenpair, spectral.top_eigenpair
+
+    def held(stack, *args):
+        if timing == "helper-holds-first" and (
+                threading.current_thread() is not threading.main_thread()):
+            assert release.wait(timeout=60)
+        return body(stack, *args)
+
+    def released_on_error(stack):
+        try:
+            return solve(stack)
+        except ValidationError:
+            release.set()
+            raise
+
+    def covs(items):
+        for i, c in enumerate(items):
+            if timing == "helper-takes-all":
+                time.sleep(0.02)
+            if i == len(items) - 1:
+                release.set()
+            if c is None:
+                raise ValidationError("mode-1 slice 5 is too large to solve")
+            yield c
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", held)
+    monkeypatch.setattr(spectral, "top_eigenpair", released_on_error)
+    cases = [([eye, asym, eye, eye, eye, None], "^matrix 1 is not symmetric"),
+             ([eye, asym, eye, np.eye(3)], "^matrix 1 is not symmetric"),
+             ([eye, asym, eye, eye, eye, asym], "^matrix 1 is not symmetric"),
+             ([eye] * 9 + [asym, eye], "^matrix 9 is not symmetric"),
+             ([eye] * 9 + [eye, None], "^mode-1 slice 5 is too large")]
+    for items, text in cases:
+        release.clear()
+        with pytest.raises(ValidationError, match=text):
+            top_eigen(covs(items))
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_top_eigen_joins_its_helper_thread(fail, monkeypatch):
+    # the helper, where the process has two cores, is started in the call
+    # and joined before it returns or raises; it runs the untraced body
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 6 * 6)
+    monkeypatch.setattr(spectral, "_use_helper", True)
+    before, seen = threading.active_count(), []
+    body = spectral._top_eigenpair
+
+    def counted(stack, *args):
+        seen.append(threading.current_thread() is threading.main_thread())
+        return body(stack, *args)
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", counted)
+    mats = [random_psd(6, seed=700 + i) for i in range(9)]
+    if fail:
+        mats[7] = mats[7] + np.triu(np.ones((6, 6)), 1)
+        with pytest.raises(ValidationError, match="^matrix 7 "):
+            top_eigen(iter(mats))
+    else:
+        assert _same_pairs(top_eigen(iter(mats)),
+                           [top_eigenpair(c) for c in mats])
+    assert threading.active_count() == before
+    if len(os.sched_getaffinity(0)) > 1:
+        assert False in seen
+    assert True in seen
 
 
 @pytest.mark.filterwarnings("error")
