@@ -4,9 +4,11 @@ blas_held() sets numpy's bundled OpenBLAS to one thread for as long as a run
 lasts, which makes every BLAS result of the run independent of the core
 count. The count is the process's, so it holds for spectral.top_eigen's
 helper thread too, which runs inside its caller's hold: a run then calls
-BLAS from two threads at most, each single-threaded. The control is the
-thread-count pair that numpy's wheels export from their scipy-openblas
-build; where it is missing (another BLAS), BLAS runs as it is set. The same build's LAPACKE dsytrd, dstevx and dormtr (the steps
+BLAS from two threads at most, each single-threaded (from one in a process
+that multiprocessing started, such as a sweep --jobs worker). The control
+is the thread-count pair that numpy's wheels export from their
+scipy-openblas build; where it is missing (another BLAS), BLAS runs as it
+is set. The same build's LAPACKE dsytrd, dstevx and dormtr (the steps
 dsyevr takes for one pair) give spectral.top_eigenpair the top pair of each
 matrix (top_pairs); where any of them is missing, top_pairs finds none.
 """

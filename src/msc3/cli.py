@@ -32,7 +32,7 @@ from .pipeline import (
     modes_from_msc,
     run_msc_dbscan,
 )
-from .spectral import EIG_ROUTES, no_helper_thread
+from .spectral import EIG_ROUTES, usable_cores
 from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
 from .tensor import _mode_axis, integer, load_tensor, number, save_tensor
 
@@ -234,12 +234,11 @@ def cmd_sweep(args):
         for s in seeds
     ]
     # the pool starts all its workers at once: no more than cells or cores
-    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    jobs = min(args.jobs, len(tasks), usable_cores())
     if jobs > 1:
-        # each job's runs hold BLAS at one thread and start no helper
-        # thread, so N jobs use N threads
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=no_helper_thread) as pool:
+        # each job's runs hold BLAS at one thread and solve on one thread
+        # (spectral.top_eigen), so N jobs use N cores
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_sweep_one, tasks))
     else:
         cells = map(_sweep_one, tasks)

@@ -24,13 +24,16 @@ one call, and a stack ends where the shape changes. The Jacobi route solves
 each whole stack on the calling thread. The LAPACK route hands each whole
 stack to one helper thread when that thread is idle, and solves it on the
 calling thread otherwise, so that the calling thread builds the next stack
-while the helper solves one; a stack is never split between threads. Both
-run with numpy's OpenBLAS held at one thread (blas.blas_held).
+while the helper solves one; a stack is never split between threads. No
+helper is started in a process that multiprocessing started or that may use
+one core only. Both run with numpy's OpenBLAS held at one thread
+(blas.blas_held).
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,8 +52,6 @@ _JACOBI_SWEEPS = 60
 _CHUNK_BYTES = 1 << 19
 # top_eigen's routes: LAPACK (the default) and Jacobi
 EIG_ROUTES = ("power", "exact")
-# whether top_eigen may start its helper thread (no_helper_thread clears it)
-_use_helper = True
 
 
 @dataclass(frozen=True)
@@ -333,9 +334,9 @@ def top_eigen(covs, eig="power"):
     stacks are alive at once. The helper runs top_eigenpair's untraced
     body and gives every matrix the bits the calling thread would. It is
     started in the call and joined before the call returns or raises, and
-    none is started where the process may use one core only, or in a
-    process that called no_helper_thread. numpy's OpenBLAS is held at one
-    thread throughout (blas.blas_held).
+    none is started in a process that multiprocessing started (so that N
+    sweep --jobs workers use N cores) or that may use one core only
+    (usable_cores). OpenBLAS is held at one thread throughout (blas_held).
     Items that are not square matrices raise ValueError; a matrix that the
     solvers reject raises their ValidationError, as "matrix i" of covs.
     The first matrix in input order that fails raises, whichever thread
@@ -343,77 +344,65 @@ def top_eigen(covs, eig="power"):
     """
     if eig not in EIG_ROUTES:
         raise ValueError(f"unknown eig route {eig!r}")
-    with blas.blas_held(), _helper(eig) as helper:
-        return _solve_stacks(covs, eig, helper)
+    # parts holds a Future for each stack on the helper and a list of pairs
+    # for each solved here; leaving the executor joins the helper
+    parts, busy = [], None
+    with blas.blas_held(), (
+            ThreadPoolExecutor(1, thread_name_prefix="msc3-solver")
+            if eig == "power" and multiprocessing.parent_process() is None
+            and usable_cores() > 1 else contextlib.nullcontext()) as helper:
+        try:
+            for start, stack, last in _stacks(covs):
+                if helper and not last and (busy is None or busy.done()):
+                    if busy is not None:
+                        busy.result()  # raises the helper's error, if any
+                    busy = helper.submit(_located, _top_eigenpair, stack,
+                                         start)
+                    parts.append(busy)
+                else:
+                    parts.append(_located(_exact_top if eig == "exact"
+                                          else top_eigenpair, stack, start))
+                del stack  # a stack solved here is freed before the next
+        except BaseException as e:
+            # the helper's stack comes before e's in input order
+            if busy is not None and busy.exception() not in (None, e):
+                raise busy.exception() from None
+            raise
+        return [pair for part in parts for pair in
+                (part if isinstance(part, list) else part.result())]
 
 
-def no_helper_thread():
-    """Solve every stack of this process on the calling thread from now on.
-
-    sweep --jobs N runs this in each worker process, so that N workers use
-    N cores.
-    """
-    global _use_helper
-    _use_helper = False
+def usable_cores():
+    """Cores this process may run on: its affinity set where the OS has
+    one, else os.cpu_count() (1 where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _helper(eig):
-    # an executor of one thread for top_eigen's power route, or None; its
-    # exit joins the thread
-    if (eig != "power" or not _use_helper
-            or len(os.sched_getaffinity(0)) < 2):
-        yield None
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="msc3-solver") as pool:
-        yield pool
-
-
-def _solve_stacks(covs, eig, helper):
-    # top_eigen's loop: the stacks of covs in order, each solved on the
-    # helper (a Future in parts) or here (a list of pairs in parts)
-    parts, busy, start = [], None, 0
-
-    def solve(stack, last):
-        nonlocal busy, start
-        if helper and not last and (busy is None or busy.done()):
-            if busy is not None:
-                busy.result()  # raises the helper's error, if any
-            busy = helper.submit(_located, _top_eigenpair, stack, start)
-            parts.append(busy)
-        else:
-            parts.append(_located(_exact_top if eig == "exact"
-                                  else top_eigenpair, stack, start))
-        start += len(stack)
-
-    try:
-        stack = None
-        for c in covs:
-            c = np.asarray(c, dtype=np.float64)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ValueError(f"expected square matrices, got {c.shape}")
-            if stack is not None and c.shape != stack.shape[1:]:
-                solve(stack[:k], False)
-                stack = None
-            if stack is None:
-                # a new buffer once the last one is handed off, so that at
-                # most two are alive: the helper's and this one
-                count = max(_CHUNK_BYTES // max(c.nbytes, 1), 1)
-                stack, k = np.empty((count, *c.shape)), 0
-            stack[k] = c
-            k += 1
-            if k == len(stack):
-                solve(stack, False)
-                stack = None
-        if stack is not None:
-            solve(stack[:k], True)
-    except BaseException as e:
-        # the helper's stack comes before e's in input order
-        if busy is not None and busy.exception() not in (None, e):
-            raise busy.exception() from None
-        raise
-    return [pair for part in parts
-            for pair in (part if isinstance(part, list) else part.result())]
+def _stacks(covs):
+    # top_eigen's stacks of covs in order, as (start, stack, last): start
+    # indexes covs, and last is True only for a short stack at the end
+    start, stack, k = 0, None, 0
+    for c in covs:
+        c = np.asarray(c, dtype=np.float64)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"expected square matrices, got {c.shape}")
+        if stack is not None and c.shape != stack.shape[1:]:
+            yield start, stack[:k], False
+            start, stack = start + k, None
+        if stack is None:
+            # a new buffer once the last one is handed off, so that at
+            # most two are alive: the helper's and this one
+            count = max(_CHUNK_BYTES // max(c.nbytes, 1), 1)
+            stack, k = np.empty((count, *c.shape)), 0
+        stack[k] = c
+        k += 1
+        if k == len(stack):
+            yield start, stack, False
+            start, stack = start + k, None
+    if stack is not None:
+        yield start, stack[:k], True
 
 
 def _located(solve, stack, start):

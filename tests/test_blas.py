@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from msc3 import (benchmark_spec, blas, covariance, generate, save_tensor,
-                  top_eigenpair)
+                  spectral, top_eigenpair)
 
 from _oracles import dsyevr_top
 
@@ -110,7 +110,7 @@ def test_similarity_matrix_does_not_depend_on_blas_threads(tmp_path):
 
 
 needs_two_cores = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2,
+    spectral.usable_cores() < 2,
     reason="top_eigen starts its helper thread only on two or more cores")
 
 # prefixed to a child's code: pinned to one core, the process starts no

@@ -10,7 +10,6 @@ import pytest
 
 from msc3 import DegenerateInputError, Tensor3, ari, cli, load_tensor, save_tensor
 from msc3.cli import AGGREGATE_HEADER, RESULT_HEADER, main
-from msc3.spectral import no_helper_thread
 
 
 def _synth_args(tmp_path, name="t.t3b", truth=None, gamma="25", rank=2,
@@ -817,10 +816,7 @@ def test_sweep_asks_for_no_more_workers_than_cells_or_cores(
     asked = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer):
-            # the workers solve on one thread each; not run here, where it
-            # would turn the helper thread off for the rest of the test run
-            assert initializer is no_helper_thread
+        def __init__(self, max_workers):
             asked.append(max_workers)
 
         def __enter__(self):
@@ -833,7 +829,7 @@ def test_sweep_asks_for_no_more_workers_than_cells_or_cores(
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cores", lambda: cpus)
     rc = main(["sweep", "--gamma", gamma, "--runs", "1", "--dims", "12,12,12",
                "--cluster-size", "3", "--jobs", "64", "-o", str(tmp_path / "s.csv")])
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -266,6 +267,9 @@ def test_json_rejects_non_finite_numbers():
     modes, triset = run_msc_dbscan(t, epsilon=0.001)
     with pytest.raises(ValueError):
         clusters_to_json(float("nan"), "msc-dbscan", modes, triset)
+    # a value JSON cannot hold at all raises TypeError, naming its type
+    with pytest.raises(TypeError, match="Decimal"):
+        clusters_to_json(Decimal("0.1"), "msc-dbscan", modes, triset)
 
 
 @pytest.mark.parametrize("text, error", [

@@ -1,8 +1,10 @@
 import itertools
+import multiprocessing
 import os
 import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from msc3 import (
 )
 from msc3 import blas, msc, spectral
 from msc3.cli import main
-from msc3.spectral import _round_robin
+from msc3.spectral import _round_robin, usable_cores
 
 from _oracles import eigh_top
 
@@ -333,8 +335,8 @@ def test_top_eigenvalue_is_squared_operator_norm():
         assert lam == pytest.approx(eigh_top(c), rel=1e-9)
 
 
-def test_eig_config_validation():
-    with pytest.raises(ValueError):
+def test_top_eigen_rejects_an_unknown_route():
+    with pytest.raises(ValueError, match="unknown eig route"):
         top_eigen([np.eye(2)], "lanczos")
 
 
@@ -362,7 +364,8 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
     for method, name, helper in (("power", "_top_eigenpair", True),
                                  ("power", "_top_eigenpair", False),
                                  ("exact", "full_eigen_jacobi", True)):
-        monkeypatch.setattr(spectral, "_use_helper", helper)
+        monkeypatch.setattr(spectral, "usable_cores",
+                            usable_cores if helper else lambda: 1)
         pulled, solved, seen = [], [], []
         solve = getattr(spectral, name)
 
@@ -490,7 +493,8 @@ def test_top_eigen_ends_a_stack_at_a_change_of_shape(monkeypatch):
     for method, name, helper in (("power", "_top_eigenpair", False),
                                  ("power", "_top_eigenpair", True),
                                  ("exact", "full_eigen_jacobi", True)):
-        monkeypatch.setattr(spectral, "_use_helper", helper)
+        monkeypatch.setattr(spectral, "usable_cores",
+                            usable_cores if helper else lambda: 1)
         solve, sizes = getattr(spectral, name), []
 
         def traced(stack, *args):
@@ -536,19 +540,24 @@ def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
                                                         monkeypatch):
     get, sets = blas_sets
     seen = []
-    solve = spectral.top_eigenpair
+    body = spectral._top_eigenpair
 
-    def recorded(c):
-        seen.append(get())
-        return solve(c)
+    def recorded(c, *args):
+        # every stack, on the calling thread or the helper
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     get()))
+        return body(c, *args)
 
-    monkeypatch.setattr(spectral, "top_eigenpair", recorded)
+    monkeypatch.setattr(spectral, "_top_eigenpair", recorded)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 12 * 12)
     t = generate(benchmark_spec(40.0, 0, dims=(12, 12, 12), cluster_size=3))[0]
     run_msc_dbscan(t, 0.1)
     # once per run: the count changes to 1 and back, not per mode or stack
     assert sets == [1, 2] and get() == 2
-    assert len(seen) > 3 and set(seen) == {1}
+    assert len(seen) > 3 and {count for _, count in seen} == {1}
+    # the helper, on two or more cores, always takes the first full stack
+    on_helper = [count for on_main, count in seen if not on_main]
+    assert bool(on_helper) == (usable_cores() > 1)
     with blas.blas_held():
         with blas.blas_held():
             assert get() == 1
@@ -695,7 +704,8 @@ def test_top_eigen_raises_the_first_failure_in_input_order(timing,
     # slowly, so the helper is idle at every full stack and takes each but
     # the last, naming its matrices within covs.
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
-    monkeypatch.setattr(spectral, "_use_helper", timing != "no-helper")
+    monkeypatch.setattr(spectral, "usable_cores", usable_cores
+                        if timing != "no-helper" else lambda: 1)
     asym, eye = np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2)
     release = threading.Event()
     body, solve = spectral._top_eigenpair, spectral.top_eigenpair
@@ -741,7 +751,6 @@ def test_top_eigen_joins_its_helper_thread(fail, monkeypatch):
     # the helper, where the process has two cores, is started in the call
     # and joined before it returns or raises; it runs the untraced body
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 6 * 6)
-    monkeypatch.setattr(spectral, "_use_helper", True)
     before, seen = threading.active_count(), []
     body = spectral._top_eigenpair
 
@@ -759,9 +768,54 @@ def test_top_eigen_joins_its_helper_thread(fail, monkeypatch):
         assert _same_pairs(top_eigen(iter(mats)),
                            [top_eigenpair(c) for c in mats])
     assert threading.active_count() == before
-    if len(os.sched_getaffinity(0)) > 1:
+    if usable_cores() > 1:
         assert False in seen
     assert True in seen
+
+
+def _top_eigen_in_a_worker(mats):
+    # top_eigen in stacks of 3, run in a worker process, with the count of
+    # Python threads alive at each blas.top_pairs call
+    threads, top_pairs = [], blas.top_pairs
+
+    def counted(a):
+        threads.append(threading.active_count())
+        return top_pairs(a)
+
+    spectral._CHUNK_BYTES, blas.top_pairs = 3 * 8 * 6 * 6, counted
+    return threads, top_eigen(iter(mats))
+
+
+@pytest.mark.parametrize("context", [
+    c for c in ("fork", "spawn") if c in multiprocessing.get_all_start_methods()])
+def test_a_worker_process_solves_on_one_thread(context, monkeypatch):
+    # a pool with no initializer: a process that multiprocessing started
+    # starts no helper thread, and its pairs are the parent's bit for bit
+    mats = _mode_of_covs()
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context(context)) as pool:
+        threads, got = pool.submit(_top_eigen_in_a_worker, mats).result(
+            timeout=120)
+    assert threads == [1] * 8
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
+    assert _same_pairs(got, top_eigen(iter(mats)))
+
+
+def test_a_run_without_sched_getaffinity(tmp_path, capsys, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; there the power route
+    # counts the machine's cores, and a run prints the same JSON
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(40.0, 0, dims=(12, 12, 12),
+                                        cluster_size=3))[0], path)
+    assert main(["cluster", path]) == 0
+    want = capsys.readouterr().out
+    mats = _mode_of_covs()[:9]
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 6 * 6)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cores() == (os.cpu_count() or 1)
+    assert _same_pairs(top_eigen(iter(mats)), [top_eigenpair(c) for c in mats])
+    assert main(["cluster", path]) == 0
+    assert capsys.readouterr().out == want and want.startswith("{")
 
 
 @pytest.mark.filterwarnings("error")
