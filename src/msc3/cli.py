@@ -72,7 +72,10 @@ def _parse_gamma_range(text):
     while v <= stop + 1e-9:
         out.append(round(v, 10))
         if v + step == v:
-            raise ValueError(f"gamma step {step!r} does not change {v!r}")
+            # a stuck step is an error only while a further value is due
+            if v < stop:
+                raise ValueError(f"gamma step {step!r} does not change {v!r}")
+            break
         v += step
     return out
 
@@ -353,7 +356,3 @@ def main(argv=None):
     except (DegenerateInputError, NoGapError, ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

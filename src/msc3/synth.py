@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError, dump_json, load_json
 from .metrics import labels_from_clusters
-from .tensor import Tensor3, _mode_axis, check_index_set
+from .tensor import Tensor3, _mode_axis, as_index, as_real, check_index_set
 
 # Box-Muller pairs transformed at once: each temporary is 8 bytes a pair
 _BOXMULLER_BLOCK = 1 << 14
@@ -99,45 +99,54 @@ def generate(spec):
     """Build the tensor and its ground truth from a SynthSpec.
 
     Deterministic per (seed, dims, components, noise_scale). Component
-    member sets must be pairwise disjoint within each mode.
+    member sets must be pairwise disjoint within each mode. dims and seed
+    are integers (as_index), noise_scale and each gamma real numbers
+    (as_real).
     """
-    m1, m2, m3 = spec.dims
-    if not (math.isfinite(spec.noise_scale) and spec.noise_scale >= 0):
+    dims = tuple(as_index(m) for m in spec.dims)
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValidationError(f"dims must be 3 sizes of at least 1, got {dims}")
+    seed = as_index(spec.seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
+    noise_scale = as_real(spec.noise_scale, "noise_scale")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
         raise ValidationError(
-            f"noise_scale must be finite and nonnegative, got {spec.noise_scale}")
+            f"noise_scale must be finite and nonnegative, got {noise_scale}")
     members = [[], [], []]
+    gammas = []
     for comp in spec.components:
-        if not (math.isfinite(comp.gamma) and comp.gamma > 0):
+        gammas.append(as_real(comp.gamma, "component gamma"))
+        if not (math.isfinite(gammas[-1]) and gammas[-1] > 0):
             raise ValidationError(
                 f"component gamma must be finite and positive, got {comp.gamma}")
         for axis, j in enumerate((comp.j1, comp.j2, comp.j3)):
-            members[axis].append(check_index_set(j, spec.dims[axis], axis + 1))
-    for axis in range(3):
-        flat = [i for idx in members[axis] for i in idx]
-        if len(flat) != len(set(flat)):
+            members[axis].append(check_index_set(j, dims[axis], axis + 1))
+    labels = []
+    for axis, (sets, m) in enumerate(zip(members, dims)):
+        try:  # the sets are checked, so only an overlap can fail here
+            labels.append(labels_from_clusters(sets, m))
+        except ValidationError:
             raise ValidationError(
-                f"mode-{axis + 1} component member sets overlap"
-            )
+                f"mode-{axis + 1} component member sets overlap") from None
 
     # each component adds gamma * w x u x v on its member block only; the
     # blocks are disjoint, so every entry gets at most one term, as in
     # signal + noise_scale * z with a zero signal off the blocks
-    if spec.noise_scale > 0:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        data = boxmuller_normals(rng, m1 * m2 * m3).reshape(spec.dims)
-        data *= spec.noise_scale
+    if noise_scale > 0:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        data = boxmuller_normals(rng, math.prod(dims)).reshape(dims)
+        data *= noise_scale
         # 0.0 + (-0.0) is 0.0: the sign of zero the sum gives
         data += 0.0
     else:
-        data = np.zeros(spec.dims)
-    for comp, ms in zip(spec.components, zip(*members)):
-        w, u, v = (unit_cluster_vector(j, m)[list(j)]
-                   for j, m in zip(ms, spec.dims))
+        data = np.zeros(dims)
+    for gamma, ms in zip(gammas, zip(*members)):
+        # unit_cluster_vector's entries on each checked member set
+        w, u, v = (np.full(len(j), 1.0 / math.sqrt(len(j))) for j in ms)
         block = np.ix_(*ms)
-        data[block] += comp.gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
+        data[block] += gamma * w[:, None, None] * u[None, :, None] * v[None, None, :]
 
-    labels = [labels_from_clusters(sets, m)
-              for sets, m in zip(members, spec.dims)]
     comps = list(zip(members[0], members[1], members[2]))
     truth = GroundTruth(labels=labels, components=comps)
     return Tensor3(data), truth
@@ -153,12 +162,13 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     size 10 in a 50^3 tensor with unit noise) is the sweep workload used
     throughout the acceptance experiments.
     """
+    rank, cluster_size = as_index(rank), as_index(cluster_size)
     if rank < 1:
         raise ValidationError(f"rank must be at least 1, got {rank}")
     if cluster_size < 1:
         raise ValueError(f"cluster size must be at least 1, got {cluster_size}")
-    gammas = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-    if gammas.shape not in ((1,), (rank,)) or not (gammas > 0).all():
+    gammas = [as_real(g, "gamma") for g in (gamma if np.ndim(gamma) else [gamma])]
+    if len(gammas) not in (1, rank) or not all(g > 0 for g in gammas):
         raise ValueError(f"gamma wants 1 or {rank} positive values, got {gamma}")
     if rank * cluster_size > min(dims):
         raise ValueError(

@@ -7,8 +7,9 @@ Msc3Error; it must never raise another exception or emit a warning (warnings
 are turned into errors here, so a RuntimeWarning fails the example).
 Out-of-range or repeated indices, modes and sizes given to refine_cluster,
 split_cluster, msc_mode, slice_spectra and benchmark_spec raise ValueError
-too, as do indices, modes, sizes and minpts that are not integers or are
-bools, and an epsilon that is a bool or not a real number.
+too, as do indices, modes, sizes, minpts and synth's counts that are not
+integers or are bools, and an epsilon or a synth real (a gamma or the noise
+scale) that is a bool or not a real number.
 """
 
 import math
@@ -20,14 +21,17 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from msc3 import (
+    Component,
     Msc3Error,
     SimilarityMatrix,
+    SynthSpec,
     Tensor3,
     benchmark_spec,
     check_index_set,
     dbscan,
     derived_radius,
     full_eigen_jacobi,
+    generate,
     initial_cluster_by_gap,
     labels_from_clusters,
     marginal_spread_bound,
@@ -229,6 +233,25 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
     lambda: dbscan(np.zeros((3, 2)), "x", 1),
     # a numpy epsilon whose bound overflows, checked in float arithmetic
     lambda: derived_radius(3, np.float64(1e308), 12),
+    # synth counts that are not integers, and reals that are bools or text
+    lambda: generate(SynthSpec(dims=(6.0, 6, 6), components=[])),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[], seed=1.5)),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[], seed="3")),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[], seed=True)),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[],
+                               noise_scale=True)),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[],
+                               noise_scale="1")),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[
+        Component(gamma=True, j1=(0,), j2=(0,), j3=(0,))])),
+    lambda: generate(SynthSpec(dims=(6, 6, 6), components=[
+        Component(gamma="1", j1=(0,), j2=(0,), j3=(0,))])),
+    lambda: benchmark_spec(80.0, 0, rank=2.5),
+    lambda: benchmark_spec(80.0, 0, rank=True),
+    lambda: benchmark_spec(80.0, 0, cluster_size=2.5),
+    lambda: benchmark_spec(80.0, 0, cluster_size=True),
+    lambda: benchmark_spec("10", 0),
+    lambda: benchmark_spec([80.0, True], 0),
 ], ids=["refine-negative", "refine-past-end", "refine-repeated",
         "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
         "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative",
@@ -240,7 +263,12 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
         "radius-epsilon-numpy-bool", "radius-size-float", "radius-m-float",
         "minpts-float", "minpts-inf", "minpts-true", "refine-m-float",
         "dbscan-radius-true", "dbscan-radius-str",
-        "radius-epsilon-numpy-overflow"])
+        "radius-epsilon-numpy-overflow", "generate-dims-float",
+        "generate-seed-float", "generate-seed-str", "generate-seed-true",
+        "generate-noise-true", "generate-noise-str", "generate-gamma-true",
+        "generate-gamma-str", "spec-rank-float", "spec-rank-true",
+        "spec-size-float", "spec-size-true", "spec-gamma-str",
+        "spec-gamma-true"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")

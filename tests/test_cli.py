@@ -643,8 +643,8 @@ def test_cli_numbers_reject_literal_forms(tmp_path, capsys, argv, flag,
     ["sweep", "--gamma", "20:30:0"],
     ["sweep", "--gamma", "20:30:-5"],
     ["sweep", "--gamma", "30:20:5"],
-    # 1e17 + 1 == 1e17, so this range would list 1e17 forever
-    ["sweep", "--gamma", "1e17:1e17:1"],
+    # 1e17 + 1 == 1e17, so this range would never reach its stop
+    ["sweep", "--gamma", "1e17:1.0000000000000002e17:1"],
 ], ids=["two_dims", "four_dims", "zero_dim", "three_gammas_rank_2",
         "zero_gamma", "negative_dim", "zero_step", "negative_step",
         "stop_below_start", "step_lost_to_rounding"])
@@ -652,6 +652,25 @@ def test_bad_dims_gammas_and_gamma_ranges_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_one_value_range_with_a_lost_step_runs(tmp_path, capsys):
+    # start equals stop: no further value is due, so the lost step is fine
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--gamma", "1e16:1e16:1", "--runs", "1",
+               "--dims", "12,12,12", "--cluster-size", "3", "-o", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6 and {r.split(",")[0] for r in rows} == {"1e+16"}
+
+
+def test_synth_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    out = tmp_path / "t.t3b"
+    assert main(_synth_args(tmp_path, seed=-1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
     assert not out.exists()
 
 

@@ -156,6 +156,18 @@ def test_overlapping_members_rejected():
         generate(SynthSpec(dims=(6, 6, 6), components=comps))
 
 
+@pytest.mark.parametrize("dims, seed, match", [
+    ((-6, 6, 6), 0, "dims"),
+    ((0, 6, 6), 0, "dims"),
+    ((6, 6), 0, "dims"),
+    ((6, 6, 6, 6), 0, "dims"),
+    ((6, 6, 6), -1, "seed"),
+], ids=["negative-dim", "zero-dim", "two-dims", "four-dims", "negative-seed"])
+def test_out_of_range_dims_and_seed_rejected(dims, seed, match):
+    with pytest.raises(ValidationError, match=match):
+        generate(SynthSpec(dims=dims, components=[], seed=seed))
+
+
 def test_nonpositive_gamma_rejected():
     comps = [Component(gamma=0.0, j1=(0,), j2=(0,), j3=(0,))]
     with pytest.raises(ValidationError):
