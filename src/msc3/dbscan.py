@@ -47,7 +47,8 @@ def dbscan(points, radius, minpts):
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf entries")
-    if not as_real(radius, "radius") > 0:
+    radius = as_real(radius, "radius")
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if as_index(minpts) < 1:
         raise ValueError("minpts must be at least 1")

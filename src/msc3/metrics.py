@@ -20,9 +20,10 @@ def ari(a, b):
     labeling compares cleanly against multi-cluster truth. Degenerate
     comparisons where the expected and maximum index coincide (e.g. both
     labelings put everything in one cluster, or a single point) score 1.0.
+    Labels are integers; any other label (a bool or 2.5 included) raises
+    ValueError.
     """
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
+    a, b = _labels(a), _labels(b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"label arrays must be equal-length 1-d, got {a.shape} vs {b.shape}")
     n = a.size
@@ -49,9 +50,20 @@ def ari(a, b):
     return float((sum_ij - expected) / (maximum - expected))
 
 
+def _labels(x):
+    # a labeling as an array of integers: an array as it is, a sequence item
+    # by item (as_index), so that neither 2.5 nor True is a label
+    if not isinstance(x, np.ndarray) and np.ndim(x) == 1:
+        x = [as_index(v) for v in x]
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers of 64 bits, got {x.dtype}")
+    return x
+
+
 def labels_from_clusters(clusters, m):
     """Cluster list to a labeling: list position is the id, the rest is -1."""
-    lab = np.full(m, -1, dtype=int)
+    lab = np.full(as_index(m), -1, dtype=int)
     seen = set()
     for cid, members in enumerate(clusters):
         for i in members:

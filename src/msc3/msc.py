@@ -85,24 +85,26 @@ def marginal_spread_bound(l, epsilon, m):
     """Spread allowance for a size-l cluster over m slices.
 
     l * epsilon / 2 + sqrt(max(0, ln(m - l))); the log term is clamped to 0
-    when m - l <= 1 so the bound is defined for every feasible size. epsilon
-    is taken as a float, whatever real type it comes in.
+    when m - l <= 1 so the bound is defined for every feasible size. l and
+    m are integers (as_index) and epsilon a finite positive real (as_real),
+    computed with as a float; any other value, or a size too large for a
+    float, raises ValueError.
     """
-    gap = m - l
-    term = math.sqrt(math.log(gap)) if gap >= 1 else 0.0
-    return l * float(epsilon) / 2.0 + term
-
-
-def _check_epsilon(epsilon, m):
-    # epsilon as the float a run computes with: a real number (as_real),
-    # finite, positive, and keeping the bound at size m (so at every l)
-    # finite
+    l, m = as_index(l), as_index(m)
     epsilon = as_real(epsilon, "epsilon")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    gap = m - l
+    term = math.sqrt(math.log(gap)) if gap >= 1 else 0.0
+    return as_real(l, "size") * epsilon / 2.0 + term
+
+
+def _check_epsilon(epsilon, m):
+    # epsilon as the float a run computes with, once marginal_spread_bound
+    # has taken it and found the bound at size m (so at every l) finite
     if not math.isfinite(marginal_spread_bound(m, epsilon, m)):
         raise ValueError(f"epsilon {epsilon} overflows the spread bound")
-    return epsilon
+    return float(epsilon)
 
 
 def _check_marginals(d):

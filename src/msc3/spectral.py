@@ -21,13 +21,13 @@ row, column and eigenvector update. It also takes a stack of matrices.
 top_eigen alone splits covariances into stacks: runs of one shape, of about
 512 KiB each, so that the covariances of all three modes of a run go through
 one call, and a stack ends where the shape changes. The Jacobi route solves
-each whole stack on the calling thread. The LAPACK route hands each whole
-stack to one helper thread when that thread is idle, and solves it on the
-calling thread otherwise, so that the calling thread builds the next stack
-while the helper solves one; a stack is never split between threads. No
-helper is started in a process that multiprocessing started or that may use
-one core only. Both run with numpy's OpenBLAS held at one thread
-(blas.blas_held).
+each whole stack on the calling thread. The LAPACK route hands a whole stack
+of matrices of order _HELPER_MIN_N or more to one helper thread when that
+thread is idle, and solves it on the calling thread otherwise, so that the
+calling thread builds the next stack while the helper solves one; a stack
+is never split between threads. No helper is started in a process that
+multiprocessing started or that may use one core only. Both run with
+numpy's OpenBLAS held at one thread (blas.blas_held).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 
 from . import blas
 from .errors import ConvergenceError, ValidationError
+from .tensor import as_real
 
 JACOBI_MAX_N = 512
 # Jacobi's stopping test (off-diagonal norm / ||C||_F) and sweep budget
@@ -50,6 +51,9 @@ _JACOBI_SWEEPS = 60
 # covariances that one top_eigenpair or full_eigen_jacobi call takes at once;
 # with the helper thread two such stacks are alive
 _CHUNK_BYTES = 1 << 19
+# the least matrix order whose stacks go to the helper thread: below it the
+# helper measured no faster than the calling thread alone (CHANGES.md)
+_HELPER_MIN_N = 140
 # top_eigen's routes: LAPACK (the default) and Jacobi
 EIG_ROUTES = ("power", "exact")
 
@@ -137,7 +141,8 @@ def top_eigenpair(c, tol=1e-10):
     or ConvergenceError (with the residual) is raised. Each eigenvalue is
     clamped at 0 and each vector has its largest-magnitude entry
     nonnegative. A matrix not finite and symmetric, or with
-    4 ||C||_F^2 = inf, raises ValidationError.
+    4 ||C||_F^2 = inf, raises ValidationError, and a tol that is not a
+    finite positive real (as_real) ValueError.
     """
     return _top_eigenpair(c, tol)
 
@@ -147,13 +152,14 @@ def _top_eigenpair(c, tol=1e-10):
     # calling thread's BLAS hold: it calls no function that the benchmark's
     # tracer wraps, whose spans belong to the calling thread
     a, single = _symmetric_stack(c)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = as_real(tol, "tol")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     lam, v, ok = blas.top_pairs(a)
     with np.errstate(all="ignore"):
         res = np.linalg.norm((a @ v[..., np.newaxis])[..., 0]
                              - lam[:, np.newaxis] * v, axis=1)
-    ok &= (lam != 0) & (res <= tol * np.abs(lam))
+        ok &= (lam != 0) & (res <= tol * np.abs(lam))
     pairs = [EigenPair(max(float(lam[i]), 0.0), _fix_sign(v[i])) if ok[i]
              else _eigh_top(a[i], tol) for i in range(len(a))]
     return pairs[0] if single else pairs
@@ -328,14 +334,14 @@ def top_eigen(covs, eig="power"):
     stack of about _CHUNK_BYTES; a full stack, or a matrix of another
     shape, ends it. 'exact' solves each stack with one full_eigen_jacobi
     call on the calling thread before the next is pulled, clamping each
-    top eigenvalue at 0. 'power' hands each stack but the last to one
-    helper thread when that thread is idle, and otherwise solves it with
-    one top_eigenpair call on the calling thread, so that at most two
-    stacks are alive at once. The helper runs top_eigenpair's untraced
-    body and gives every matrix the bits the calling thread would. It is
-    started in the call and joined before the call returns or raises, and
-    none is started in a process that multiprocessing started (so that N
-    sweep --jobs workers use N cores) or that may use one core only
+    top eigenvalue at 0. 'power' hands a stack of matrices of order
+    _HELPER_MIN_N or more to one helper thread when it is idle, and solves
+    any other with one top_eigenpair call on the calling thread, so that at
+    most two stacks are alive at once. The helper runs top_eigenpair's
+    untraced body and gives every matrix the bits the calling thread would.
+    It is started in the call and joined before the call returns or raises,
+    and none is started in a process that multiprocessing started (so that
+    N sweep --jobs workers use N cores) or that may use one core only
     (usable_cores). OpenBLAS is held at one thread throughout (blas_held).
     Items that are not square matrices raise ValueError; a matrix that the
     solvers reject raises their ValidationError, as "matrix i" of covs.
@@ -352,8 +358,9 @@ def top_eigen(covs, eig="power"):
             if eig == "power" and multiprocessing.parent_process() is None
             and usable_cores() > 1 else contextlib.nullcontext()) as helper:
         try:
-            for start, stack, last in _stacks(covs):
-                if helper and not last and (busy is None or busy.done()):
+            for start, stack in _stacks(covs):
+                if (helper and stack.shape[-1] >= _HELPER_MIN_N
+                        and (busy is None or busy.done())):
                     if busy is not None:
                         busy.result()  # raises the helper's error, if any
                     busy = helper.submit(_located, _top_eigenpair, stack,
@@ -381,15 +388,14 @@ def usable_cores():
 
 
 def _stacks(covs):
-    # top_eigen's stacks of covs in order, as (start, stack, last): start
-    # indexes covs, and last is True only for a short stack at the end
+    # top_eigen's stacks in order, as (start, stack); start indexes covs
     start, stack, k = 0, None, 0
     for c in covs:
         c = np.asarray(c, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"expected square matrices, got {c.shape}")
         if stack is not None and c.shape != stack.shape[1:]:
-            yield start, stack[:k], False
+            yield start, stack[:k]
             start, stack = start + k, None
         if stack is None:
             # a new buffer once the last one is handed off, so that at
@@ -399,10 +405,10 @@ def _stacks(covs):
         stack[k] = c
         k += 1
         if k == len(stack):
-            yield start, stack, False
+            yield start, stack
             start, stack = start + k, None
     if stack is not None:
-        yield start, stack[:k], True
+        yield start, stack[:k]
 
 
 def _located(solve, stack, start):

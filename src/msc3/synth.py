@@ -75,7 +75,11 @@ def boxmuller_normals(rng, n):
     See the module docstring for the exact pairing and interleaving rules.
     The uniforms are drawn into one buffer and transformed in place,
     _BOXMULLER_BLOCK pairs at a time, so the only other memory is one block.
+    n is an integer (as_index) of 0 or more.
     """
+    n = as_index(n)
+    if n < 0:
+        raise ValueError(f"count must be at least 0, got {n}")
     pairs = (n + 1) // 2
     out = rng.random(2 * pairs)
     uv = out.reshape(pairs, 2)
@@ -95,6 +99,18 @@ def boxmuller_normals(rng, n):
     return out[:n]
 
 
+def _check_dims(dims):
+    # generate's and benchmark_spec's dims: 3 integers (as_index) of 1 or more
+    if np.ndim(dims) != 1 or len(dims) != 3:
+        raise ValidationError(f"dims must be 3 sizes, got {dims!r}")
+    dims = tuple(as_index(m) for m in dims)
+    if min(dims) < 1:
+        raise ValidationError(f"dims must be 3 sizes of at least 1, got {dims}")
+    return dims
+
+
+# an entry that overflows is left to Tensor3's finiteness check
+@np.errstate(over="ignore")
 def generate(spec):
     """Build the tensor and its ground truth from a SynthSpec.
 
@@ -103,9 +119,7 @@ def generate(spec):
     are integers (as_index), noise_scale and each gamma real numbers
     (as_real).
     """
-    dims = tuple(as_index(m) for m in spec.dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValidationError(f"dims must be 3 sizes of at least 1, got {dims}")
+    dims = _check_dims(spec.dims)
     seed = as_index(spec.seed)
     if seed < 0:
         raise ValidationError(f"seed must be at least 0, got {seed}")
@@ -170,6 +184,7 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     gammas = [as_real(g, "gamma") for g in (gamma if np.ndim(gamma) else [gamma])]
     if len(gammas) not in (1, rank) or not all(g > 0 for g in gammas):
         raise ValueError(f"gamma wants 1 or {rank} positive values, got {gamma}")
+    dims = _check_dims(dims)
     if rank * cluster_size > min(dims):
         raise ValueError(
             f"rank {rank} x cluster size {cluster_size} exceeds min dim {min(dims)}"
@@ -178,7 +193,7 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     for c, g in enumerate(np.broadcast_to(gammas, rank)):
         block = tuple(range(c * cluster_size, (c + 1) * cluster_size))
         comps.append(Component(gamma=float(g), j1=block, j2=block, j3=block))
-    return SynthSpec(dims=tuple(dims), components=comps, seed=seed,
+    return SynthSpec(dims=dims, components=comps, seed=seed,
                      noise_scale=noise_scale)
 
 

@@ -38,10 +38,14 @@ def as_real(value, name):
     """value as a float, if it is a real number and not a bool.
 
     Anything else raises ValueError naming it; numpy's bool is no real
-    number, and float() would read True as 1.0.
+    number, and float() would read True as 1.0. An int too large for a
+    float raises ValueError too, where float() raises OverflowError.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
@@ -49,9 +53,9 @@ def check_index_set(indices, size, mode):
     """Validate a cluster index set for one mode.
 
     Returns the indices as a sorted tuple. Raises ValueError on an empty set,
-    duplicates or a member that is not an integer (as_index), IndexError on
-    out-of-range members. mode is only used in messages; pass any label
-    when there is no mode context.
+    duplicates or a member or size that is not an integer (as_index),
+    IndexError on out-of-range members. mode is only used in messages; pass
+    any label when there is no mode context.
     """
     label = f"mode-{mode}" if isinstance(mode, int) else str(mode)
     idx = tuple(sorted(as_index(i) for i in indices))
@@ -59,7 +63,7 @@ def check_index_set(indices, size, mode):
         raise ValueError(f"{label} index set is empty")
     if len(set(idx)) != len(idx):
         raise ValueError(f"{label} index set has duplicates")
-    if idx[0] < 0 or idx[-1] >= size:
+    if idx[0] < 0 or idx[-1] >= as_index(size):
         raise IndexError(
             f"{label} index out of range: valid range is 0..{size - 1}"
         )

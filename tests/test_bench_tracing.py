@@ -84,9 +84,8 @@ def test_traced_cluster_run_records_each_layer(tracing, tmp_path, capsys, eig,
 
 
 @pytest.mark.parametrize("eig", ["power", "exact"])
-def test_every_traced_layer_runs_on_the_calling_thread(tracing, tmp_path,
-                                                       capsys, monkeypatch,
-                                                       eig):
+def test_every_traced_layer_runs_on_the_calling_thread(
+        tracing, tmp_path, capsys, monkeypatch, eig, helper_at_any_order):
     # the tracer keeps one span stack, so a wrapped call on a solver thread
     # would corrupt its spans; modes here span several chunks
     path = _planted(tmp_path)

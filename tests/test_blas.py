@@ -114,12 +114,14 @@ needs_two_cores = pytest.mark.skipif(
     reason="top_eigen starts its helper thread only on two or more cores")
 
 # prefixed to a child's code: pinned to one core, the process starts no
-# helper thread; a stderr line counts the stacks the helper solved
+# helper thread; a stderr line counts the stacks the helper solved. The
+# helper takes stacks of any matrix order, not only from _HELPER_MIN_N on.
 _ON_CORES = """
     import os, sys, threading
     from msc3 import spectral
     if {pin}:
         os.sched_setaffinity(0, {{0}})
+    spectral._HELPER_MIN_N = 1
     body, helper = spectral._top_eigenpair, []
 
     def counted(stack, *args):
@@ -275,8 +277,11 @@ def test_sweep_jobs_run_one_solver_thread_each(tmp_path):
     code = f"""
         import sys, threading
         import msc3.cli
-        from msc3 import blas
+        from msc3 import blas, spectral
 
+        # a job would hand a stack of any order to a helper: only the
+        # process rule keeps it on one thread
+        spectral._HELPER_MIN_N = 1
         top_pairs = blas.top_pairs
 
         def checked(a):

@@ -112,8 +112,8 @@ _SHAPES = [(12, 12, 12), (24, 20, 18)]
 
 @pytest.mark.parametrize("eig", ["power", "exact"])
 @pytest.mark.parametrize("dims", _SHAPES)
-def test_slice_spectra_of_three_modes_match_each_mode_alone(eig, dims,
-                                                            monkeypatch):
+def test_slice_spectra_of_three_modes_match_each_mode_alone(
+        eig, dims, monkeypatch, helper_at_any_order):
     t = Tensor3(np.random.default_rng(5).standard_normal(dims))
     want = [slice_spectra(t, mode, eig) for mode in (1, 2, 3)]
     got = [slice_spectra(t, (1, 2, 3), eig)]
@@ -128,7 +128,8 @@ def test_slice_spectra_of_three_modes_match_each_mode_alone(eig, dims,
 
 @pytest.mark.parametrize("eig", ["power", "exact"])
 @pytest.mark.parametrize("dims", _SHAPES)
-def test_one_pass_names_a_huge_slice_within_its_mode(eig, dims, monkeypatch):
+def test_one_pass_names_a_huge_slice_within_its_mode(eig, dims, monkeypatch,
+                                                     helper_at_any_order):
     # the m1 entries (i, 3, 5) at 3.2e76 put 1.0e153 in each mode-1 slice's
     # squared norm, under the 6.7e153 limit, but m1 times that in mode-2
     # slice 3 and mode-3 slice 5

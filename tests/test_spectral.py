@@ -354,7 +354,8 @@ def _covs(n):
 
 
 @pytest.mark.parametrize("n", [1, 6])
-def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
+def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
+                                                 helper_at_any_order):
     # 'exact', and 'power' with the helper thread off, solve each stack
     # before the next one is pulled, so one chunk is alive at once; with the
     # helper on, 'power' keeps at most two (the helper's and the one being
@@ -366,7 +367,7 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
                                  ("exact", "full_eigen_jacobi", True)):
         monkeypatch.setattr(spectral, "usable_cores",
                             usable_cores if helper else lambda: 1)
-        pulled, solved, seen = [], [], []
+        pulled, solved, seen, on_helper = [], [], [], []
         solve = getattr(spectral, name)
 
         def one_shot():
@@ -377,6 +378,8 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
 
         def traced(chunk, *args):
             seen.append((len(pulled), len(chunk)))
+            on_helper.append(
+                threading.current_thread() is not threading.main_thread())
             pairs = solve(chunk, *args)
             solved.append(len(chunk))
             return pairs
@@ -384,6 +387,8 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch):
         monkeypatch.setattr(spectral, name, traced)
         got = top_eigen(one_shot(), method)
         monkeypatch.setattr(spectral, name, solve)
+        assert any(on_helper) == (
+            helper and method == "power" and usable_cores() > 1)
         if helper and method == "power":
             assert sorted(size for _, size in seen) == [1, 2, 2]
         else:
@@ -407,7 +412,7 @@ def _mode_of_covs(n=6, count=23):
 
 @pytest.mark.parametrize("method", ["power", "exact"])
 def test_top_eigen_on_the_pool_matches_one_thread_bit_for_bit(
-        method, monkeypatch):
+        method, monkeypatch, helper_at_any_order):
     # 23 matrices in chunks of 3: several stacks per mode, and the last
     # stack short; each matrix gets the bits it gets solved alone
     mats = _mode_of_covs()
@@ -430,7 +435,7 @@ def test_top_eigenpair_parts_of_a_stack_match_solo_solves():
 
 @pytest.mark.parametrize("per_chunk", [1, 2])
 def test_cluster_with_a_huge_slice_in_a_late_chunk_exits_2(
-        per_chunk, tmp_path, capsys, monkeypatch):
+        per_chunk, tmp_path, capsys, monkeypatch, helper_at_any_order):
     # slice 10 is the first matrix of chunk 10 or of chunk 5
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", per_chunk * 8 * 12 * 12)
     data = np.random.default_rng(0).standard_normal((12, 12, 12))
@@ -481,7 +486,8 @@ def test_a_power_run_calls_top_eigenpair_once(tmp_path, capsys, monkeypatch):
     assert calls == ["top_eigenpair"]
 
 
-def test_top_eigen_ends_a_stack_at_a_change_of_shape(monkeypatch):
+def test_top_eigen_ends_a_stack_at_a_change_of_shape(monkeypatch,
+                                                     helper_at_any_order):
     # 44 matrices of 6 x 6 in stacks of 5 (the budget), then 18 of 4 x 4 in
     # stacks of 11; each matrix gets the bits it gets alone. The helper
     # thread, when on, solves some stacks in parallel, so only their sizes
@@ -536,8 +542,8 @@ def blas_sets(monkeypatch):
     set_(before)
 
 
-def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
-                                                        monkeypatch):
+def test_a_run_holds_blas_at_one_thread_and_restores_it(
+        blas_sets, monkeypatch, helper_at_any_order):
     get, sets = blas_sets
     seen = []
     body = spectral._top_eigenpair
@@ -555,7 +561,7 @@ def test_a_run_holds_blas_at_one_thread_and_restores_it(blas_sets,
     # once per run: the count changes to 1 and back, not per mode or stack
     assert sets == [1, 2] and get() == 2
     assert len(seen) > 3 and {count for _, count in seen} == {1}
-    # the helper, on two or more cores, always takes the first full stack
+    # the helper, on two or more cores, always takes the first stack
     on_helper = [count for on_main, count in seen if not on_main]
     assert bool(on_helper) == (usable_cores() > 1)
     with blas.blas_held():
@@ -682,8 +688,8 @@ def test_top_eigen_rejects_a_trace_whose_square_overflows(method):
     ([[0.0, 1e160], [1e160, 0.0]], "has NaN or Inf"),
     ([[0.0, 1.0], [2.0, 0.0]], "is not symmetric"),
 ], ids=["overflow", "asymmetric"])
-def test_top_eigen_names_a_rejected_matrix_within_covs(method, bad, problem,
-                                                       monkeypatch):
+def test_top_eigen_names_a_rejected_matrix_within_covs(
+        method, bad, problem, monkeypatch, helper_at_any_order):
     # stacks of 2: matrix 5 is matrix 1 of the third stack, which the
     # solvers named "matrix 1", or named no matrix when not symmetric
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
@@ -694,26 +700,28 @@ def test_top_eigen_names_a_rejected_matrix_within_covs(method, bad, problem,
 
 @pytest.mark.parametrize("timing", ["no-helper", "helper-holds-first",
                                     "helper-takes-all"])
-def test_top_eigen_raises_the_first_failure_in_input_order(timing,
-                                                           monkeypatch):
+def test_top_eigen_raises_the_first_failure_in_input_order(
+        timing, monkeypatch, helper_at_any_order):
     # stacks of 2, and each case gives the same error whichever thread
     # solves which stack. "helper-holds-first": the helper thread, which
     # always takes the first stack, solves it only once the last item is
     # pulled or a stack on the calling thread has failed, so its error must
     # still come before any later one. "helper-takes-all": the items come
-    # slowly, so the helper is idle at every full stack and takes each but
-    # the last, naming its matrices within covs.
+    # slowly, so the helper is idle at every stack and takes each, naming
+    # its matrices within covs.
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
     monkeypatch.setattr(spectral, "usable_cores", usable_cores
                         if timing != "no-helper" else lambda: 1)
     asym, eye = np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2)
     release = threading.Event()
     body, solve = spectral._top_eigenpair, spectral.top_eigenpair
+    took = []
 
     def held(stack, *args):
-        if timing == "helper-holds-first" and (
-                threading.current_thread() is not threading.main_thread()):
-            assert release.wait(timeout=60)
+        if threading.current_thread() is not threading.main_thread():
+            took.append(len(stack))
+            if timing == "helper-holds-first":
+                assert release.wait(timeout=60)
         return body(stack, *args)
 
     def released_on_error(stack):
@@ -744,10 +752,12 @@ def test_top_eigen_raises_the_first_failure_in_input_order(timing,
         release.clear()
         with pytest.raises(ValidationError, match=text):
             top_eigen(covs(items))
+    assert bool(took) == (timing != "no-helper" and usable_cores() > 1)
 
 
 @pytest.mark.parametrize("fail", [False, True])
-def test_top_eigen_joins_its_helper_thread(fail, monkeypatch):
+def test_top_eigen_joins_its_helper_thread(fail, monkeypatch,
+                                           helper_at_any_order):
     # the helper, where the process has two cores, is started in the call
     # and joined before it returns or raises; it runs the untraced body
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 6 * 6)
@@ -768,9 +778,31 @@ def test_top_eigen_joins_its_helper_thread(fail, monkeypatch):
         assert _same_pairs(top_eigen(iter(mats)),
                            [top_eigenpair(c) for c in mats])
     assert threading.active_count() == before
-    if usable_cores() > 1:
-        assert False in seen
-    assert True in seen
+    # the helper takes the first stack and, when idle, any later one
+    assert seen and (False in seen) == (usable_cores() > 1)
+
+
+@pytest.mark.parametrize("dims,gamma,helped", [
+    ((600, 30, 30), 400.0, False), ((50, 50, 50), 80.0, False),
+    ((64, 64, 64), 80.0, False), ((150, 150, 150), 80.0, True),
+], ids=["600x30x30", "50^3", "64^3", "150^3"])
+def test_a_cluster_run_hands_the_helper_only_large_matrices(
+        dims, gamma, helped, tmp_path, capsys, monkeypatch):
+    # below _HELPER_MIN_N the helper measured no faster than the calling
+    # thread alone, so a run on small slices starts none
+    path = str(tmp_path / "t.t3b")
+    save_tensor(generate(benchmark_spec(gamma, 0, dims=dims))[0], path)
+    body, on_helper = spectral._top_eigenpair, []
+
+    def counted(stack, *args):
+        if threading.current_thread() is not threading.main_thread():
+            on_helper.append(len(stack))
+        return body(stack, *args)
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", counted)
+    assert main(["cluster", path, "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert bool(on_helper) == (helped and usable_cores() > 1)
 
 
 def _top_eigen_in_a_worker(mats):
@@ -783,6 +815,9 @@ def _top_eigen_in_a_worker(mats):
         return top_pairs(a)
 
     spectral._CHUNK_BYTES, blas.top_pairs = 3 * 8 * 6 * 6, counted
+    # a stack of any order would go to a helper: only the process rule
+    # keeps it off here
+    spectral._HELPER_MIN_N = 1
     return threads, top_eigen(iter(mats))
 
 
@@ -801,7 +836,8 @@ def test_a_worker_process_solves_on_one_thread(context, monkeypatch):
     assert _same_pairs(got, top_eigen(iter(mats)))
 
 
-def test_a_run_without_sched_getaffinity(tmp_path, capsys, monkeypatch):
+def test_a_run_without_sched_getaffinity(tmp_path, capsys, monkeypatch,
+                                         helper_at_any_order):
     # macOS and Windows have no os.sched_getaffinity; there the power route
     # counts the machine's cores, and a run prints the same JSON
     path = str(tmp_path / "t.t3b")
