@@ -34,7 +34,8 @@ from .pipeline import (
 )
 from .spectral import EIG_ROUTES, usable_cores
 from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
-from .tensor import _mode_axis, integer, load_tensor, number, save_tensor
+from .tensor import (_mode_axis, as_index, as_real, integer, load_tensor,
+                     number, save_tensor)
 
 RESULT_HEADER = "gamma,seed,method,mode,ari,rmse,wall_ms,status"
 AGGREGATE_HEADER = "gamma,method,ari_mean,ari_std,rmse_mean"
@@ -48,10 +49,7 @@ def _parse_dims(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--dims wants m1,m2,m3, got {text!r}")
-    dims = tuple(integer(p) for p in parts)
-    if min(dims) < 1:
-        raise ValueError(f"dims must be positive, got {dims}")
-    return dims
+    return tuple(integer(p) for p in parts)
 
 
 def _parse_gamma_range(text):
@@ -61,8 +59,7 @@ def _parse_gamma_range(text):
     start, stop, step = (number(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"--gamma range must be finite, got {text!r}")
-    if step <= 0:
-        raise ValueError("gamma step must be positive")
+    as_real(step, "gamma step", positive=True)
     if stop < start:
         raise ValueError("gamma stop must be >= start")
     if (stop - start) / step > _MAX_CELLS:
@@ -219,10 +216,8 @@ def _format_row(row):
 
 def cmd_sweep(args):
     gammas = _parse_gamma_range(args.gamma)
-    if args.runs < 1:
-        raise ValueError(f"--runs must be at least 1, got {args.runs}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    as_index(args.runs, "--runs", 1)
+    as_index(args.jobs, "--jobs", 1)
     if len(gammas) * args.runs > _MAX_CELLS:
         raise ValueError(f"{len(gammas)} gammas x {args.runs} runs is over "
                          f"{_MAX_CELLS} cells")
@@ -350,7 +345,7 @@ def main(argv=None):
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValidationError, ValueError, IndexError, MemoryError) as e:
+    except (ValueError, IndexError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DegenerateInputError, NoGapError, ConvergenceError) as e:

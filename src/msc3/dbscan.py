@@ -32,7 +32,7 @@ def dbscan(points, radius, minpts):
     """Classic density clustering over row-vector points.
 
     A core point has at least minpts points (itself included) within the
-    closed radius; radius is a positive real number (as_real) and minpts an
+    closed radius; radius is a finite positive real (as_real) and minpts an
     integer (as_index) of 1 or more. Clusters are the maximal
     density-connected sets; points in no cluster get the NOISE label (-1).
     Seeds are scanned in index order and a point is labelled when first
@@ -47,11 +47,8 @@ def dbscan(points, radius, minpts):
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf entries")
-    radius = as_real(radius, "radius")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if as_index(minpts) < 1:
-        raise ValueError("minpts must be at least 1")
+    radius = as_real(radius, "radius", positive=True)
+    minpts = as_index(minpts, "minpts", 1)
     n = pts.shape[0]
     near = _neighborhoods(pts, radius)
     core = np.count_nonzero(near, axis=1) >= minpts

@@ -22,8 +22,8 @@ class FormatError(Msc3Error):
         self.offset = offset
 
 
-class ValidationError(Msc3Error):
-    """Input data is structurally well-formed but violates a value constraint."""
+class ValidationError(Msc3Error, ValueError):
+    """Well-formed input that violates a value constraint; a ValueError too."""
 
 
 class DegenerateInputError(Msc3Error):

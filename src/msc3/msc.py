@@ -86,14 +86,13 @@ def marginal_spread_bound(l, epsilon, m):
 
     l * epsilon / 2 + sqrt(max(0, ln(m - l))); the log term is clamped to 0
     when m - l <= 1 so the bound is defined for every feasible size. l and
-    m are integers (as_index) and epsilon a finite positive real (as_real),
-    computed with as a float; any other value, or a size too large for a
-    float, raises ValueError.
+    m are integers (as_index) with 1 <= l <= m, and epsilon a finite
+    positive real (as_real), computed with as a float; any other value, or
+    a size too large for a float, raises ValueError.
     """
-    l, m = as_index(l), as_index(m)
-    epsilon = as_real(epsilon, "epsilon")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    l = as_index(l, "cluster size l", 1)
+    m = as_index(m, "slice count m", l)
+    epsilon = as_real(epsilon, "epsilon", positive=True)
     gap = m - l
     term = math.sqrt(math.log(gap)) if gap >= 1 else 0.0
     return as_real(l, "size") * epsilon / 2.0 + term
@@ -296,11 +295,10 @@ def derived_radius(l, epsilon, m):
     This ties the density radius to the marginal spread allowance of a
     size-l cluster over m slices. Clamped from below at 1e-12 so the
     l = 2, epsilon -> 0 boundary still yields a usable radius. epsilon is
-    checked as in msc_mode, and l and m must be integers (as_index).
+    checked as in msc_mode, and l and m are integers with 2 <= l < m.
     """
-    l, m = as_index(l), as_index(m)
-    if not 2 <= l <= m - 1:
-        raise ValueError(f"cluster size l={l} out of range 2..{m - 1}")
+    l = as_index(l, "cluster size l", 2)
+    m = as_index(m, "slice count m", l + 1)
     epsilon = _check_epsilon(epsilon, m)
     return max(math.sqrt(marginal_spread_bound(l, epsilon, m)), 1e-12)
 

@@ -141,8 +141,8 @@ def top_eigenpair(c, tol=1e-10):
     or ConvergenceError (with the residual) is raised. Each eigenvalue is
     clamped at 0 and each vector has its largest-magnitude entry
     nonnegative. A matrix not finite and symmetric, or with
-    4 ||C||_F^2 = inf, raises ValidationError, and a tol that is not a
-    finite positive real (as_real) ValueError.
+    4 ||C||_F^2 = inf, raises ValidationError, as does a tol that is not
+    a finite positive real (as_real).
     """
     return _top_eigenpair(c, tol)
 
@@ -152,9 +152,7 @@ def _top_eigenpair(c, tol=1e-10):
     # calling thread's BLAS hold: it calls no function that the benchmark's
     # tracer wraps, whose spans belong to the calling thread
     a, single = _symmetric_stack(c)
-    tol = as_real(tol, "tol")
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+    tol = as_real(tol, "tol", positive=True)
     lam, v, ok = blas.top_pairs(a)
     with np.errstate(all="ignore"):
         res = np.linalg.norm((a @ v[..., np.newaxis])[..., 0]

@@ -77,9 +77,7 @@ def boxmuller_normals(rng, n):
     _BOXMULLER_BLOCK pairs at a time, so the only other memory is one block.
     n is an integer (as_index) of 0 or more.
     """
-    n = as_index(n)
-    if n < 0:
-        raise ValueError(f"count must be at least 0, got {n}")
+    n = as_index(n, "count", 0)
     pairs = (n + 1) // 2
     out = rng.random(2 * pairs)
     uv = out.reshape(pairs, 2)
@@ -103,10 +101,16 @@ def _check_dims(dims):
     # generate's and benchmark_spec's dims: 3 integers (as_index) of 1 or more
     if np.ndim(dims) != 1 or len(dims) != 3:
         raise ValidationError(f"dims must be 3 sizes, got {dims!r}")
-    dims = tuple(as_index(m) for m in dims)
-    if min(dims) < 1:
-        raise ValidationError(f"dims must be 3 sizes of at least 1, got {dims}")
-    return dims
+    return tuple(as_index(m, "a size in dims", 1) for m in dims)
+
+
+def _check_noise_scale(noise_scale):
+    # generate's and benchmark_spec's noise_scale: a finite real of 0 or more
+    noise_scale = as_real(noise_scale, "noise_scale")
+    if not 0 <= noise_scale < math.inf:
+        raise ValidationError(
+            f"noise_scale must be finite and nonnegative, got {noise_scale}")
+    return noise_scale
 
 
 # an entry that overflows is left to Tensor3's finiteness check
@@ -120,20 +124,12 @@ def generate(spec):
     (as_real).
     """
     dims = _check_dims(spec.dims)
-    seed = as_index(spec.seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
-    noise_scale = as_real(spec.noise_scale, "noise_scale")
-    if not (math.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValidationError(
-            f"noise_scale must be finite and nonnegative, got {noise_scale}")
+    seed = as_index(spec.seed, "seed", 0)
+    noise_scale = _check_noise_scale(spec.noise_scale)
     members = [[], [], []]
     gammas = []
     for comp in spec.components:
-        gammas.append(as_real(comp.gamma, "component gamma"))
-        if not (math.isfinite(gammas[-1]) and gammas[-1] > 0):
-            raise ValidationError(
-                f"component gamma must be finite and positive, got {comp.gamma}")
+        gammas.append(as_real(comp.gamma, "component gamma", positive=True))
         for axis, j in enumerate((comp.j1, comp.j2, comp.j3)):
             members[axis].append(check_index_set(j, dims[axis], axis + 1))
     labels = []
@@ -174,16 +170,15 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     in every mode. gamma is one strength for every component or a sequence
     of one per component. The default (two strength-gamma components of
     size 10 in a 50^3 tensor with unit noise) is the sweep workload used
-    throughout the acceptance experiments.
+    throughout the acceptance experiments. seed and noise_scale are checked
+    as in generate.
     """
-    rank, cluster_size = as_index(rank), as_index(cluster_size)
-    if rank < 1:
-        raise ValidationError(f"rank must be at least 1, got {rank}")
-    if cluster_size < 1:
-        raise ValueError(f"cluster size must be at least 1, got {cluster_size}")
-    gammas = [as_real(g, "gamma") for g in (gamma if np.ndim(gamma) else [gamma])]
-    if len(gammas) not in (1, rank) or not all(g > 0 for g in gammas):
-        raise ValueError(f"gamma wants 1 or {rank} positive values, got {gamma}")
+    rank = as_index(rank, "rank", 1)
+    cluster_size = as_index(cluster_size, "cluster size", 1)
+    gammas = [as_real(g, "gamma", positive=True)
+              for g in (gamma if np.ndim(gamma) else [gamma])]
+    if len(gammas) not in (1, rank):
+        raise ValueError(f"gamma wants 1 or {rank} values, got {gamma}")
     dims = _check_dims(dims)
     if rank * cluster_size > min(dims):
         raise ValueError(
@@ -193,8 +188,8 @@ def benchmark_spec(gamma, seed, dims=(50, 50, 50), cluster_size=10, rank=2,
     for c, g in enumerate(np.broadcast_to(gammas, rank)):
         block = tuple(range(c * cluster_size, (c + 1) * cluster_size))
         comps.append(Component(gamma=float(g), j1=block, j2=block, j3=block))
-    return SynthSpec(dims=dims, components=comps, seed=seed,
-                     noise_scale=noise_scale)
+    return SynthSpec(dims=dims, components=comps, seed=as_index(seed, "seed", 0),
+                     noise_scale=_check_noise_scale(noise_scale))
 
 
 def truth_to_json(spec, truth):

@@ -4,12 +4,15 @@ Layout is row-major: entry (i, j, k) of an m1 x m2 x m3 tensor lives at flat
 index ((i * m2) + j) * m3 + k, which is exactly numpy C order for shape
 (m1, m2, m3).
 
-Indices (0-based) and modes (1, 2, 3) are integers everywhere (as_index),
-and real parameters (epsilon, a radius) are real numbers (as_real).
+Indices (0-based), modes, sizes and counts are integers (as_index), and
+epsilon, a radius, a gamma or a tolerance real numbers (as_real); each
+owns the range rule it is given, and a value out of range raises
+ValidationError, a ValueError.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import struct
@@ -22,30 +25,36 @@ from .errors import FormatError, ValidationError
 T3B_MAGIC = b"T3B1"
 
 
-def as_index(value):
+def as_index(value, name="an index, mode or count", low=None):
     """value as an int, if it is a Python or numpy integer and not a bool.
 
     Anything else raises ValueError naming it, 2.0 included, which numpy's
-    own indexing refuses too; int() would read 1.5 and True as 1.
+    own indexing refuses too; int() would read 1.5 and True as 1. An
+    integer below low, when low is given, raises ValidationError.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low is not None and value < low:
+            raise ValidationError(f"{name} must be at least {low}, got {value}")
         return int(value)
-    raise ValueError(
-        f"an index, mode or count must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def as_real(value, name):
+def as_real(value, name, positive=False):
     """value as a float, if it is a real number and not a bool.
 
     Anything else raises ValueError naming it; numpy's bool is no real
     number, and float() would read True as 1.0. An int too large for a
-    float raises ValueError too, where float() raises OverflowError.
+    float raises ValueError too, where float() raises OverflowError. With
+    positive, a float outside (0, inf), NaN included, raises ValidationError.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            return float(value)
+            real = float(value)
         except OverflowError:
             raise ValueError(f"{name} is too large for a float") from None
+        if positive and not 0 < real < math.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {real}")
+        return real
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 

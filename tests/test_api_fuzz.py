@@ -26,7 +26,9 @@ from msc3 import (
     SimilarityMatrix,
     SynthSpec,
     Tensor3,
+    ValidationError,
     benchmark_spec,
+    boxmuller_normals,
     check_index_set,
     dbscan,
     derived_radius,
@@ -252,6 +254,8 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
     lambda: benchmark_spec(80.0, 0, cluster_size=True),
     lambda: benchmark_spec("10", 0),
     lambda: benchmark_spec([80.0, True], 0),
+    lambda: benchmark_spec(80.0, "3"),
+    lambda: benchmark_spec(80.0, 0, noise_scale="x"),
 ], ids=["refine-negative", "refine-past-end", "refine-repeated",
         "split-negative", "split-repeated", "split-past-end", "msc-mode-4",
         "msc-mode-0", "spectra-mode-4", "spec-size-0", "spec-size-negative",
@@ -268,9 +272,36 @@ _SIM = SimilarityMatrix(c=_C + _C.T, d=(_C + _C.T).sum(axis=1))
         "generate-noise-true", "generate-noise-str", "generate-gamma-true",
         "generate-gamma-str", "spec-rank-float", "spec-rank-true",
         "spec-size-float", "spec-size-true", "spec-gamma-str",
-        "spec-gamma-true"])
+        "spec-gamma-true", "spec-seed-str", "spec-noise-str"])
 def test_out_of_range_argument_raises_value_error(call):
     with warnings.catch_warnings(), pytest.raises(ValueError):
+        warnings.simplefilter("error")
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: benchmark_spec(80.0, 0, cluster_size=0),
+    lambda: benchmark_spec(math.inf, 0),
+    lambda: benchmark_spec(80.0, -1),
+    lambda: boxmuller_normals(np.random.default_rng(0), -1),
+    lambda: dbscan(np.zeros((3, 2)), 0.0, 2),
+    lambda: dbscan(np.zeros((3, 2)), math.inf, 2),
+    lambda: dbscan(np.zeros((3, 2)), 1.0, 0),
+    lambda: marginal_spread_bound(3, 0.0, 12),
+    lambda: marginal_spread_bound(-1, 0.1, 12),
+    lambda: marginal_spread_bound(20, 0.1, 12),
+    lambda: top_eigenpair(np.eye(3), 0.0),
+    lambda: derived_radius(1, 0.1, 12),
+    lambda: run_msc_dbscan(_T, -1.0),
+], ids=["spec-size-0", "spec-gamma-inf", "spec-seed-negative",
+        "boxmuller-count-negative", "dbscan-radius-0", "dbscan-radius-inf",
+        "dbscan-minpts-0", "bound-epsilon-0", "bound-size-negative",
+        "bound-size-past-m", "tol-0", "radius-size-1", "run-epsilon-negative"])
+def test_out_of_range_numbers_raise_validation_error(call):
+    # one owner per range rule (as_index's low, as_real's positive), one
+    # exception type for a broken range, and except ValueError still holds
+    assert issubclass(ValidationError, ValueError)
+    with warnings.catch_warnings(), pytest.raises(ValidationError):
         warnings.simplefilter("error")
         call()
 

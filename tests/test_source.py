@@ -1,6 +1,7 @@
 """The package's source parses as the oldest Python that pyproject.toml
 declares, so that syntax newer than the floor fails here, on any newer
-interpreter, rather than only on that old one.
+interpreter, rather than only on that old one. The two number range rules
+are raised only by their owners in tensor.py (as_index, as_real).
 """
 
 import ast
@@ -23,3 +24,24 @@ def test_the_floor_is_pyprojects():
 def test_source_parses_at_the_python_floor(path):
     with open(path, encoding="utf-8") as fh:
         ast.parse(fh.read(), filename=path, feature_version=FLOOR)
+
+
+# the messages of tensor.as_index's and tensor.as_real's range rules
+RANGE_RULES = ("must be at least", "must be positive", "finite and positive")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if os.path.basename(p) != "tensor.py"],
+                         ids=os.path.basename)
+def test_only_tensor_py_writes_out_a_range_rule(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            message = "".join(c.value for c in ast.walk(node.exc)
+                              if isinstance(c, ast.Constant)
+                              and isinstance(c.value, str))
+            assert not any(rule in message for rule in RANGE_RULES), (
+                f"{os.path.basename(path)}:{node.lineno} writes out a range "
+                "rule; call as_index(value, name, low) or "
+                "as_real(value, name, positive=True)")
