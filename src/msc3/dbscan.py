@@ -37,12 +37,11 @@ def dbscan(points, radius, minpts):
     density-connected sets; points in no cluster get the NOISE label (-1).
     Seeds are scanned in index order and a point is labelled when first
     reached, so a border point within reach of two clusters joins the
-    earlier one. Returns an int array of labels with
-    cluster ids contiguous from 0 in discovery order.
+    earlier one. Points of dimension 0 all lie at distance 0. Returns an
+    int array of n labels with cluster ids contiguous from 0 in discovery
+    order.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.empty(0, dtype=int)
     if pts.ndim != 2:
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
@@ -50,6 +49,8 @@ def dbscan(points, radius, minpts):
     radius = as_real(radius, "radius", positive=True)
     minpts = as_index(minpts, "minpts", 1)
     n = pts.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=int)
     near = _neighborhoods(pts, radius)
     core = np.count_nonzero(near, axis=1) >= minpts
 

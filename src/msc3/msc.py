@@ -221,11 +221,11 @@ def refine_cluster(j0, d, epsilon, m, mode=0):
     runs at most |j0| - 1 times. If the size drops below 2 the result is an
     empty, non-converged cluster. epsilon and d are checked as in msc_mode
     and initial_cluster_by_gap, j0 as in _check_members, and m must be an
-    integer (as_index).
+    integer (as_index) no less than len(d), which holds one value a slice.
     """
-    m = as_index(m)
-    epsilon = _check_epsilon(epsilon, m)
     d = _check_marginals(d)
+    m = as_index(m, f"slice count m for the {d.size} marginals", d.size)
+    epsilon = _check_epsilon(epsilon, m)
     members = _check_members(j0, d.size)
     while len(members) >= 2:
         bound = marginal_spread_bound(len(members), epsilon, m)

@@ -22,12 +22,17 @@ top_eigen alone splits covariances into stacks: runs of one shape, of about
 512 KiB each, so that the covariances of all three modes of a run go through
 one call, and a stack ends where the shape changes. The Jacobi route solves
 each whole stack on the calling thread. The LAPACK route hands a whole stack
-of matrices of order _HELPER_MIN_N or more to one helper thread when that
-thread is idle, and solves it on the calling thread otherwise, so that the
-calling thread builds the next stack while the helper solves one; a stack
-is never split between threads. No helper is started in a process that
-multiprocessing started or that may use one core only. Both run with
-numpy's OpenBLAS held at one thread (blas.blas_held).
+of matrices of order _HELPER_MIN_N or more to one helper thread while fewer
+than two of its stacks are outstanding there (one being solved, one
+waiting), and solves it on the calling thread otherwise. So the helper
+never waits for the calling thread to build its next stack, and at most
+three stacks (about 1.5 MiB) are alive; a stack is never split between
+threads. On a 2-vCPU host this took a 150^3 benchmark op from 0.30 to
+0.27 s against the helper that took a stack only when idle; below order
+140 the helper won in some processes and lost in others (README). No
+helper is started in a process that multiprocessing started or that may
+use one core only. Both run with numpy's OpenBLAS held at one thread
+(blas.blas_held).
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ JACOBI_MAX_N = 512
 _JACOBI_TOL = 1e-12
 _JACOBI_SWEEPS = 60
 # covariances that one top_eigenpair or full_eigen_jacobi call takes at once;
-# with the helper thread two such stacks are alive
+# with the helper thread up to three such stacks are alive
 _CHUNK_BYTES = 1 << 19
 # the least matrix order whose stacks go to the helper thread: below it the
-# helper measured no faster than the calling thread alone (CHANGES.md)
+# helper was no faster than the calling thread alone in some processes
+# (README)
 _HELPER_MIN_N = 140
 # top_eigen's routes: LAPACK (the default) and Jacobi
 EIG_ROUTES = ("power", "exact")
@@ -333,10 +339,12 @@ def top_eigen(covs, eig="power"):
     shape, ends it. 'exact' solves each stack with one full_eigen_jacobi
     call on the calling thread before the next is pulled, clamping each
     top eigenvalue at 0. 'power' hands a stack of matrices of order
-    _HELPER_MIN_N or more to one helper thread when it is idle, and solves
-    any other with one top_eigenpair call on the calling thread, so that at
-    most two stacks are alive at once. The helper runs top_eigenpair's
-    untraced body and gives every matrix the bits the calling thread would.
+    _HELPER_MIN_N (140) or more to one helper thread while fewer than two
+    of its stacks are outstanding there, one being solved and one
+    waiting, and solves any other with one top_eigenpair call on the
+    calling thread, so that at most three stacks (about 1.5 MiB) are alive
+    at once. The helper runs top_eigenpair's untraced body and gives every
+    matrix the bits the calling thread would.
     It is started in the call and joined before the call returns or raises,
     and none is started in a process that multiprocessing started (so that
     N sweep --jobs workers use N cores) or that may use one core only
@@ -349,29 +357,37 @@ def top_eigen(covs, eig="power"):
     if eig not in EIG_ROUTES:
         raise ValueError(f"unknown eig route {eig!r}")
     # parts holds a Future for each stack on the helper and a list of pairs
-    # for each solved here; leaving the executor joins the helper
-    parts, busy = [], None
+    # for each solved here, in input order; queued holds the helper's
+    # unfinished Futures, which it runs in that order. Leaving the executor
+    # joins the helper.
+    parts, queued = [], []
     with blas.blas_held(), (
             ThreadPoolExecutor(1, thread_name_prefix="msc3-solver")
             if eig == "power" and multiprocessing.parent_process() is None
             and usable_cores() > 1 else contextlib.nullcontext()) as helper:
         try:
             for start, stack in _stacks(covs):
+                while queued and queued[0].done():
+                    queued.pop(0).result()  # raises the helper's error
+                # one stack being solved and one waiting, so that the
+                # helper never waits for this thread to build the next
                 if (helper and stack.shape[-1] >= _HELPER_MIN_N
-                        and (busy is None or busy.done())):
-                    if busy is not None:
-                        busy.result()  # raises the helper's error, if any
-                    busy = helper.submit(_located, _top_eigenpair, stack,
-                                         start)
-                    parts.append(busy)
+                        and len(queued) < 2):
+                    queued.append(helper.submit(_located, _top_eigenpair,
+                                                stack, start))
+                    parts.append(queued[-1])
                 else:
                     parts.append(_located(_exact_top if eig == "exact"
                                           else top_eigenpair, stack, start))
                 del stack  # a stack solved here is freed before the next
         except BaseException as e:
-            # the helper's stack comes before e's in input order
-            if busy is not None and busy.exception() not in (None, e):
-                raise busy.exception() from None
+            # every stack the helper took comes before e's in input order,
+            # up to the one that raised e: the earliest failure wins
+            first = next((part.exception() for part in parts
+                          if not isinstance(part, list)
+                          and part.exception() is not None), e)
+            if first is not e:
+                raise first from None
             raise
         return [pair for part in parts for pair in
                 (part if isinstance(part, list) else part.result())]
@@ -397,7 +413,7 @@ def _stacks(covs):
             start, stack = start + k, None
         if stack is None:
             # a new buffer once the last one is handed off, so that at
-            # most two are alive: the helper's and this one
+            # most three are alive: the helper's two and this one
             count = max(_CHUNK_BYTES // max(c.nbytes, 1), 1)
             stack, k = np.empty((count, *c.shape)), 0
         stack[k] = c

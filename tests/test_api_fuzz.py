@@ -139,7 +139,7 @@ def test_dbscan_is_finite_or_rejects(data, n, dim, radius, minpts):
     pts = _array(data.draw, shape)
     labels = _call(dbscan, pts, radius, minpts)
     if labels is not None:
-        assert labels.shape == (pts.shape[0] if pts.size else 0,)
+        assert labels.shape == (pts.shape[0],)
         assert (labels >= -1).all()
 
 
@@ -293,10 +293,13 @@ def test_out_of_range_argument_raises_value_error(call):
     lambda: top_eigenpair(np.eye(3), 0.0),
     lambda: derived_radius(1, 0.1, 12),
     lambda: run_msc_dbscan(_T, -1.0),
+    lambda: refine_cluster((0, 3), _D, 0.1, 2),
+    lambda: dbscan(np.zeros((0, 2)), -1.0, 0),
 ], ids=["spec-size-0", "spec-gamma-inf", "spec-seed-negative",
         "boxmuller-count-negative", "dbscan-radius-0", "dbscan-radius-inf",
         "dbscan-minpts-0", "bound-epsilon-0", "bound-size-negative",
-        "bound-size-past-m", "tol-0", "radius-size-1", "run-epsilon-negative"])
+        "bound-size-past-m", "tol-0", "radius-size-1", "run-epsilon-negative",
+        "refine-m-below-len-d", "dbscan-no-points-radius-negative"])
 def test_out_of_range_numbers_raise_validation_error(call):
     # one owner per range rule (as_index's low, as_real's positive), one
     # exception type for a broken range, and except ValueError still holds

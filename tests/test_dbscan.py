@@ -35,6 +35,19 @@ def test_dbscan_empty():
     assert dbscan(np.empty((0, 2)), radius=1.0, minpts=2).size == 0
 
 
+def test_dbscan_checks_its_arguments_before_an_empty_return():
+    # points of dimension 0 are n points at distance 0, one cluster; only
+    # n = 0 gives no labels, and only once radius and minpts have passed
+    assert dbscan(np.zeros((3, 0)), 1.0, 2).tolist() == [0, 0, 0]
+    assert dbscan(np.zeros((3, 0)), 1.0, 4).tolist() == [NOISE] * 3
+    with pytest.raises(ValueError, match="radius"):
+        dbscan(np.zeros((0, 2)), -1.0, 0)
+    with pytest.raises(ValueError, match="minpts"):
+        dbscan(np.zeros((0, 2)), 1.0, 0)
+    with pytest.raises(ValueError, match="point array"):
+        dbscan(np.zeros(0), 1.0, 2)
+
+
 def test_dbscan_minpts_one_no_noise():
     pts = np.array([[0.0], [100.0], [200.0]])
     labels = dbscan(pts, radius=1.0, minpts=1)

@@ -286,6 +286,16 @@ def test_refine_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
         refine_cluster((0, 1, 2), d, epsilon, 50)
 
 
+def test_refine_rejects_fewer_slices_than_marginals():
+    # d holds one marginal a slice, so m below len(d) names both numbers
+    d = np.array([5.0, 0.0, 0.1, 5.05])
+    assert refine_cluster((0, 3), d, 0.1, 4).cluster == (0, 3)
+    with pytest.raises(ValidationError,
+                       match="^slice count m for the 4 marginals must be "
+                             "at least 4, got 2$"):
+        refine_cluster((0, 3), d, 0.1, 2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_marginals_must_be_finite_and_nonnegative(bad):
     d = [10.0, 10.2, 1.0, 1.0, 1.1, 0.9]

@@ -1,7 +1,8 @@
 """The package's source parses as the oldest Python that pyproject.toml
 declares, so that syntax newer than the floor fails here, on any newer
 interpreter, rather than only on that old one. The two number range rules
-are raised only by their owners in tensor.py (as_index, as_real).
+are raised only by their owners in tensor.py (as_index, as_real), and only
+spectral.py starts a thread.
 """
 
 import ast
@@ -45,3 +46,25 @@ def test_only_tensor_py_writes_out_a_range_rule(path):
                 f"{os.path.basename(path)}:{node.lineno} writes out a range "
                 "rule; call as_index(value, name, low) or "
                 "as_real(value, name, positive=True)")
+
+
+# what starts a thread; cli.py's ProcessPoolExecutor starts processes
+THREAD_MAKERS = {"Thread", "ThreadPoolExecutor"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if os.path.basename(p) != "spectral.py"],
+                         ids=os.path.basename)
+def test_only_spectral_py_starts_a_thread(path):
+    # top_eigen's helper must stay the one thread the package starts: the
+    # benchmark tracer keeps one span stack, and blas.blas_held one
+    # process-wide count, both for the calling thread alone
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        assert name not in THREAD_MAKERS, (
+            f"{os.path.basename(path)}:{getattr(node, 'lineno', '?')} names "
+            f"{name}; only spectral.top_eigen starts a thread")

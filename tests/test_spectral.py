@@ -358,8 +358,8 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
                                                  helper_at_any_order):
     # 'exact', and 'power' with the helper thread off, solve each stack
     # before the next one is pulled, so one chunk is alive at once; with the
-    # helper on, 'power' keeps at most two (the helper's and the one being
-    # built). The budget here holds 2 matrices.
+    # helper on, 'power' keeps at most three (the two outstanding on the
+    # helper and the one being built). The budget here holds 2 matrices.
     mats = _covs(n)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * n * n)
     for method, name, helper in (("power", "_top_eigenpair", True),
@@ -373,7 +373,7 @@ def test_top_eigen_power_route_takes_a_generator(n, monkeypatch,
         def one_shot():
             for c in mats:
                 pulled.append(c)
-                assert len(pulled) - sum(solved) <= 2 * 2
+                assert len(pulled) - sum(solved) <= 3 * 2
                 yield c
 
         def traced(chunk, *args):
@@ -706,9 +706,10 @@ def test_top_eigen_raises_the_first_failure_in_input_order(
     # solves which stack. "helper-holds-first": the helper thread, which
     # always takes the first stack, solves it only once the last item is
     # pulled or a stack on the calling thread has failed, so its error must
-    # still come before any later one. "helper-takes-all": the items come
-    # slowly, so the helper is idle at every stack and takes each, naming
-    # its matrices within covs.
+    # still come before any later one; when the second stack it holds
+    # fails too, the first one's error wins. "helper-takes-all": the items
+    # come slowly, so the helper has a free slot at every stack and takes
+    # each, naming its matrices within covs.
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
     monkeypatch.setattr(spectral, "usable_cores", usable_cores
                         if timing != "no-helper" else lambda: 1)
@@ -746,6 +747,7 @@ def test_top_eigen_raises_the_first_failure_in_input_order(
     cases = [([eye, asym, eye, eye, eye, None], "^matrix 1 is not symmetric"),
              ([eye, asym, eye, np.eye(3)], "^matrix 1 is not symmetric"),
              ([eye, asym, eye, eye, eye, asym], "^matrix 1 is not symmetric"),
+             ([eye, asym, asym, eye, eye, asym], "^matrix 1 is not symmetric"),
              ([eye] * 9 + [asym, eye], "^matrix 9 is not symmetric"),
              ([eye] * 9 + [eye, None], "^mode-1 slice 5 is too large")]
     for items, text in cases:
@@ -753,6 +755,36 @@ def test_top_eigen_raises_the_first_failure_in_input_order(
         with pytest.raises(ValidationError, match=text):
             top_eigen(covs(items))
     assert bool(took) == (timing != "no-helper" and usable_cores() > 1)
+
+
+def test_top_eigen_keeps_two_stacks_outstanding_on_its_helper(
+        monkeypatch, helper_at_any_order):
+    # stacks of 2, stack i holding 2i + 1 and 2i + 2 times the identity.
+    # The helper holds its first stack until the Event is set, so stack 1
+    # waits behind it and the calling thread solves stacks 2 to 5, the last
+    # of which sets the Event.
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+    monkeypatch.setattr(spectral, "usable_cores", lambda: 2)
+    mats = [k * np.eye(2) for k in range(1, 13)]
+    release, body = threading.Event(), spectral._top_eigenpair
+    on_helper, on_main = [], []
+
+    def held(stack, *args):
+        index = int(stack[0, 0, 0]) // 2
+        if threading.current_thread() is threading.main_thread():
+            on_main.append(index)
+            if index == 5:
+                release.set()
+        else:
+            on_helper.append(index)
+            assert release.wait(timeout=60)
+        return body(stack, *args)
+
+    monkeypatch.setattr(spectral, "_top_eigenpair", held)
+    got = top_eigen(iter(mats))
+    monkeypatch.setattr(spectral, "_top_eigenpair", body)
+    assert on_helper == [0, 1] and on_main == [2, 3, 4, 5]
+    assert _same_pairs(got, [top_eigenpair(c) for c in mats])
 
 
 @pytest.mark.parametrize("fail", [False, True])
@@ -778,7 +810,8 @@ def test_top_eigen_joins_its_helper_thread(fail, monkeypatch,
         assert _same_pairs(top_eigen(iter(mats)),
                            [top_eigenpair(c) for c in mats])
     assert threading.active_count() == before
-    # the helper takes the first stack and, when idle, any later one
+    # the helper takes the first two stacks and, while fewer than two of
+    # its stacks are outstanding, any later one
     assert seen and (False in seen) == (usable_cores() > 1)
 
 
