@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import ari, labels_from_clusters, rmse_subcube, weighted_mean_rmse
+from .msc import SliceMemo
 from .pipeline import (
     METHODS,
     clusters_from_json,
@@ -33,7 +34,8 @@ from .pipeline import (
     run_msc_dbscan,
 )
 from .spectral import EIG_ROUTES, usable_cores
-from .synth import benchmark_spec, generate, truth_from_json, truth_to_json
+from .synth import (benchmark_spec, generate, noise_tensor, truth_from_json,
+                    truth_to_json)
 from .tensor import (_mode_axis, as_index, as_real, integer, load_tensor,
                      number, save_tensor)
 
@@ -64,9 +66,12 @@ def _parse_gamma_range(text):
         raise ValueError("gamma stop must be >= start")
     if (stop - start) / step > _MAX_CELLS:
         raise ValueError(f"--gamma {text} lists more than {_MAX_CELLS} values")
+    # the slack takes in the rounding of the sums; at most half a step, so
+    # that it never takes in one more step, which the cap above does not count
+    slack = min(1e-9, step / 2)
     out = []
     v = start
-    while v <= stop + 1e-9:
+    while v <= stop + slack:
         out.append(round(v, 10))
         if v + step == v:
             # a stuck step is an error only while a further value is due
@@ -170,20 +175,37 @@ def cmd_eval(args):
 
 
 def _sweep_one(task):
-    """One (gamma, seed) cell: generate, cluster, evaluate both methods.
+    """One task: one seed's run of consecutive gammas.
 
-    Returns the finished CSV rows of both methods across the three modes.
+    The seed's noise is drawn once (synth.noise_tensor), each gamma's tensor
+    is a copy of it plus the planted blocks, and one msc.SliceMemo carries
+    the pairs of the slices that equal the noise from gamma to gamma, so
+    each such slice is solved once. Returns one list of finished CSV rows a
+    gamma, in task order: both methods across the three modes.
     """
-    gamma, seed, epsilon, eig, dims, cluster_size, rank = task
-    t0 = time.perf_counter()
-    spec = benchmark_spec(gamma, seed, dims=dims, cluster_size=cluster_size,
-                          rank=rank)
-    t, truth = generate(spec)
+    gammas, seed, epsilon, eig, dims, cluster_size, rank = task
+    start = time.perf_counter()  # the first cell's wall time has the draw
+    specs = [benchmark_spec(g, seed, dims=dims, cluster_size=cluster_size,
+                            rank=rank) for g in gammas]
+    memo = SliceMemo(noise_tensor(specs[0]))
+    cells = []
+    for gamma, spec in zip(gammas, specs):
+        cells.append(_sweep_cell(spec, gamma, epsilon, eig, memo, start))
+        start = time.perf_counter()
+    return cells
+
+
+def _sweep_cell(spec, gamma, epsilon, eig, memo, start):
+    # one (gamma, seed) cell on the seed's noise: generate, cluster and
+    # evaluate both methods. The cell's tensor is freed on return, so a task
+    # holds two tensors at most: the noise and one cell's.
+    t, truth = generate(spec, memo.base)
+    seed = spec.seed
     rows = []
     try:
-        modes, triset = run_msc_dbscan(t, epsilon, eig)
+        modes, triset = run_msc_dbscan(t, epsilon, eig, memo=memo)
     except (DegenerateInputError, ConvergenceError) as e:
-        wall = (time.perf_counter() - t0) * 1000.0
+        wall = (time.perf_counter() - start) * 1000.0
         for method in SWEEP_METHODS:
             for mode in (1, 2, 3):
                 rows.append((gamma, seed, method, mode, float("nan"),
@@ -193,7 +215,7 @@ def _sweep_one(task):
     # the single-stage method's output is the per-mode cluster the second
     # stage started from, so one pipeline run serves both methods
     runs = (modes_from_msc([mc.msc for mc in modes], t), (modes, triset))
-    wall = (time.perf_counter() - t0) * 1000.0
+    wall = (time.perf_counter() - start) * 1000.0
 
     for method, (mmodes, mtriset) in zip(SWEEP_METHODS, runs):
         tris = [(tc.j1, tc.j2, tc.j3) for tc in mtriset.triclusters]
@@ -226,22 +248,30 @@ def cmd_sweep(args):
     _distinct_outputs([args.out, agg_path])
     seeds = [args.seed + r for r in range(args.runs)]
     dims = _parse_dims(args.dims)
+    # the pool starts all its workers at once: no more than cells or cores
+    jobs = min(args.jobs, len(gammas) * args.runs, usable_cores())
+    # a task is one seed's gammas, or a run of them when there are fewer
+    # seeds than workers, so that every worker gets a task
+    parts = -(-jobs // args.runs)
+    cuts = [len(gammas) * c // parts for c in range(parts + 1)]
     tasks = [
-        (g, s, args.epsilon, args.eig, dims, args.cluster_size, args.rank)
-        for g in gammas
+        (gammas[lo:hi], s, args.epsilon, args.eig, dims, args.cluster_size,
+         args.rank)
+        for lo, hi in zip(cuts, cuts[1:])
         for s in seeds
     ]
-    # the pool starts all its workers at once: no more than cells or cores
-    jobs = min(args.jobs, len(tasks), usable_cores())
     if jobs > 1:
         # each job's runs hold BLAS at one thread and solve on one thread
         # (spectral.top_eigen), so N jobs use N cores
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_sweep_one, tasks))
+            done = list(pool.map(_sweep_one, tasks))
     else:
-        cells = map(_sweep_one, tasks)
-    # deterministic row order: gamma, seed (the task order), method, mode
-    ordered = [row for rows in cells for row in rows]
+        done = list(map(_sweep_one, tasks))
+    # deterministic row order: gamma, seed, method, mode. The tasks of one
+    # run of gammas are consecutive, one a seed in seed order.
+    ordered = [row for c in range(parts)
+               for cells in zip(*done[c * args.runs:(c + 1) * args.runs])
+               for rows in cells for row in rows]
     with open(args.out, "w") as fh:
         fh.write(RESULT_HEADER + "\n")
         for row in ordered:
@@ -326,7 +356,8 @@ def build_parser():
     p.add_argument("--cluster-size", type=integer, default=10)
     p.add_argument("--rank", type=integer, default=2)
     p.add_argument("--jobs", type=integer, default=1,
-                   help="parallel workers over (gamma, seed) cells")
+                   help="parallel workers over seed-group tasks (one seed's "
+                        "gammas, split when seeds are fewer than workers)")
     p.add_argument("-o", "--out", required=True, help="results CSV path")
     p.add_argument("--aggregate", help="aggregate CSV path (default: <out>_agg)")
     p.set_defaults(func=cmd_sweep)

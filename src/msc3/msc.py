@@ -44,6 +44,21 @@ class SliceSpectra:
 
 
 @dataclass(frozen=True)
+class SliceMemo:
+    """Top pairs of a base tensor's slices, for runs on tensors that keep
+    most of those slices bit for bit, such as one sweep seed's tensors
+    (their shared noise plus each gamma's planted blocks).
+
+    base is the base tensor's array; pairs maps (mode, index, eig route) to
+    the EigenPair of that base slice's covariance. slice_spectra reads and
+    fills pairs.
+    """
+
+    base: np.ndarray
+    pairs: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class SimilarityMatrix:
     """Similarity C = |V^T V| together with its row marginal sums d."""
 
@@ -114,7 +129,7 @@ def _check_marginals(d):
     return d
 
 
-def slice_spectra(t, mode, eig="power"):
+def slice_spectra(t, mode, eig="power", memo=None):
     """Top eigenpair of every slice covariance along one mode, by route eig.
 
     mode may also be a tuple of modes. One top_eigen call then solves the
@@ -125,17 +140,47 @@ def slice_spectra(t, mode, eig="power"):
     squared norm) failing 4 t^2 < inf raises ValidationError naming it.
     Raises DegenerateInputError when all slices of a mode are zero (nothing
     to normalize against).
+
+    With a SliceMemo, a slice that is bit for bit the same slice of
+    memo.base takes the pair memo.pairs holds for it, if any, and is not
+    built or solved again; the base slices solved here are added to
+    memo.pairs. Each pair is what its matrix gets when solved alone, so
+    the result is bit for bit the memo-less one. A base of another shape
+    than t raises ValueError.
     """
     modes = mode if isinstance(mode, tuple) else (mode,)
     spans = [(k, t.dims[_mode_axis(k)]) for k in modes]
     for k, m in spans:
         if m < 3:
             raise ValueError(f"mode-{k} needs at least 3 slices, got {m}")
-    pairs = iter(top_eigen((_solvable(covariance(t.slice(k, i)), k, i)
-                            for k, m in spans for i in range(m)), eig))
-    spectra = [_normalized([next(pairs) for _ in range(m)], k)
+    same = _base_slices(t, modes, memo)
+    known = {(k, i): memo.pairs[k, i, eig] for k, i in same
+             if (k, i, eig) in memo.pairs}
+    todo = [(k, i) for k, m in spans for i in range(m) if (k, i) not in known]
+    solved = dict(zip(todo, top_eigen(
+        (_solvable(covariance(t.slice(k, i)), k, i) for k, i in todo), eig)))
+    if memo is not None:
+        memo.pairs.update(((k, i, eig), solved[k, i])
+                          for k, i in same if (k, i) in solved)
+    known.update(solved)
+    spectra = [_normalized([known[k, i] for i in range(m)], k)
                for k, m in spans]
     return spectra if isinstance(mode, tuple) else spectra[0]
+
+
+def _base_slices(t, modes, memo):
+    # the (mode, index) of each slice of t that is bit for bit the same
+    # slice of memo.base: one comparison of the two arrays' bits, reduced
+    # over each mode's other two axes; none without a memo
+    if memo is None:
+        return set()
+    base = np.ascontiguousarray(memo.base, dtype=np.float64)
+    if base.shape != t.dims:
+        raise ValueError(f"memo base has shape {base.shape}, the tensor "
+                         f"{t.dims}")
+    equal = base.view(np.uint64) == t.data.view(np.uint64)
+    return {(k, int(i)) for k in modes for i in np.flatnonzero(equal.all(
+        axis=tuple(a for a in range(3) if a != _mode_axis(k))))}
 
 
 def _solvable(c, mode, i):
@@ -258,17 +303,18 @@ def msc_stage(t, mode, spectra, epsilon):
                    strength_ratio=spectra.lambda_max / baseline)
 
 
-def mode_stages(t, modes, epsilon, eig="power", gapless=False):
+def mode_stages(t, modes, epsilon, eig="power", gapless=False, memo=None):
     """One round: msc_stage on each of modes, from one slice_spectra pass.
 
     epsilon is checked against each mode's size, in mode order, before any
     solve (ValueError). A gapless mode raises NoGapError, or with
-    gapless=True gives the empty result MscResult(mode, (), d, 0.0).
+    gapless=True gives the empty result MscResult(mode, (), d, 0.0). memo,
+    a SliceMemo or None, goes to slice_spectra.
     """
     for mode in modes:
         _check_epsilon(epsilon, t.dims[_mode_axis(mode)])
     results = []
-    for mode, spectra in zip(modes, slice_spectra(t, tuple(modes), eig)):
+    for mode, spectra in zip(modes, slice_spectra(t, tuple(modes), eig, memo)):
         try:
             results.append(msc_stage(t, mode, spectra, epsilon))
         except NoGapError as e:

@@ -69,16 +69,19 @@ def run_msc(t, epsilon, eig="power"):
 
 
 @blas_held()
-def run_msc_dbscan(t, epsilon, eig="power"):
+def run_msc_dbscan(t, epsilon, eig="power", memo=None):
     """Per-mode clustering followed by density splitting, then pairing.
 
     A mode where no cluster can be seeded (gapless marginals) or where
     refinement empties the seed degrades to an empty mode instead of
     aborting the run. An all-zero tensor still raises DegenerateInputError.
+    memo, an msc.SliceMemo or None, goes to slice_spectra: sweep passes one
+    a seed, so that the slices its gammas share are solved once.
     Returns (list of ModeClustering, TriclusterSet).
     """
     modes = []
-    for res in mode_stages(t, (1, 2, 3), epsilon, eig, gapless=True):
+    for res in mode_stages(t, (1, 2, 3), epsilon, eig, gapless=True,
+                           memo=memo):
         clusters, noise = [], ()
         if res.converged:
             split = split_cluster(res.similarity, res.cluster, epsilon)

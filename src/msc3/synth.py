@@ -115,17 +115,41 @@ def _check_noise_scale(noise_scale):
 
 # an entry that overflows is left to Tensor3's finiteness check
 @np.errstate(over="ignore")
-def generate(spec):
+def noise_tensor(spec):
+    """The noise term noise_scale * z of spec's tensor, holding no -0.0.
+
+    The one owner of the noise draw, which generate makes unless it is handed
+    one. It depends on dims, seed and noise_scale only (checked as in
+    generate), so msc3 sweep draws it once a seed for all its gammas.
+    """
+    dims = _check_dims(spec.dims)
+    seed = as_index(spec.seed, "seed", 0)
+    noise_scale = _check_noise_scale(spec.noise_scale)
+    if noise_scale == 0:
+        return np.zeros(dims)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = boxmuller_normals(rng, math.prod(dims)).reshape(dims)
+    data *= noise_scale
+    # 0.0 + (-0.0) is 0.0: the sign of zero the sum gives
+    data += 0.0
+    return data
+
+
+# an entry that overflows is left to Tensor3's finiteness check
+@np.errstate(over="ignore")
+def generate(spec, noise=None):
     """Build the tensor and its ground truth from a SynthSpec.
 
     Deterministic per (seed, dims, components, noise_scale). Component
     member sets must be pairwise disjoint within each mode. dims and seed
     are integers (as_index), noise_scale and each gamma real numbers
-    (as_real).
+    (as_real). noise, if given, is taken as noise_tensor(spec) and copied
+    instead of drawn again; an array of another shape than dims raises
+    ValidationError.
     """
     dims = _check_dims(spec.dims)
-    seed = as_index(spec.seed, "seed", 0)
-    noise_scale = _check_noise_scale(spec.noise_scale)
+    as_index(spec.seed, "seed", 0)
+    _check_noise_scale(spec.noise_scale)
     members = [[], [], []]
     gammas = []
     for comp in spec.components:
@@ -143,14 +167,13 @@ def generate(spec):
     # each component adds gamma * w x u x v on its member block only; the
     # blocks are disjoint, so every entry gets at most one term, as in
     # signal + noise_scale * z with a zero signal off the blocks
-    if noise_scale > 0:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        data = boxmuller_normals(rng, math.prod(dims)).reshape(dims)
-        data *= noise_scale
-        # 0.0 + (-0.0) is 0.0: the sign of zero the sum gives
-        data += 0.0
+    if noise is None:
+        data = noise_tensor(spec)
     else:
-        data = np.zeros(dims)
+        data = np.array(noise, dtype=np.float64)
+        if data.shape != dims:
+            raise ValidationError(
+                f"noise has shape {data.shape}, the spec's dims are {dims}")
     for gamma, ms in zip(gammas, zip(*members)):
         # unit_cluster_vector's entries on each checked member set
         w, u, v = (np.full(len(j), 1.0 / math.sqrt(len(j))) for j in ms)

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from msc3 import DegenerateInputError, Tensor3, ari, cli, load_tensor, save_tensor
+from msc3 import (DegenerateInputError, Tensor3, ari, benchmark_spec, cli,
+                  generate, labels_from_clusters, load_tensor, modes_from_msc,
+                  msc, run_msc_dbscan, save_tensor, weighted_mean_rmse)
 from msc3.cli import AGGREGATE_HEADER, RESULT_HEADER, main
 
 
@@ -666,6 +673,128 @@ def test_sweep_one_value_range_with_a_lost_step_runs(tmp_path, capsys):
     assert len(rows) == 6 and {r.split(",")[0] for r in rows} == {"1e+16"}
 
 
+@pytest.mark.parametrize("text, want", [
+    # the slack of 1e-9 took in 93,826 further steps of 1e-14
+    ("20:20:1e-14", [20.0]),
+    # and 9 further steps of 1e-10, up to 0.500000001
+    ("0.5:0.5000000001:1e-10", [0.5, 0.5000000001]),
+    ("90:110:10", [90.0, 100.0, 110.0]),
+    ("0:1:0.1", [round(0.1 * k, 10) for k in range(11)]),
+])
+def test_gamma_range_lists_no_value_past_stop(text, want):
+    assert cli._parse_gamma_range(text) == want
+
+
+class _InlinePool:
+    # ProcessPoolExecutor's stand-in: the tasks run in this process, and
+    # the worker counts asked for and the tasks are recorded
+    asked, tasks = [], []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks.append(list(tasks))
+        return map(fn, self.tasks[-1])
+
+
+def _cell_rows(gamma, seed, epsilon, eig, rank):
+    # one (gamma, seed) cell's results rows but wall_ms, built on its own
+    # through generate and run_msc_dbscan, with no memo and no shared noise
+    t, truth = generate(benchmark_spec(gamma, seed, dims=(12, 12, 12),
+                                       cluster_size=3, rank=rank))
+    modes, triset = run_msc_dbscan(t, epsilon, eig)
+    runs = (modes_from_msc([mc.msc for mc in modes], t), (modes, triset))
+    rows = []
+    for method, (mmodes, mtriset) in zip(cli.SWEEP_METHODS, runs):
+        rmse = weighted_mean_rmse(
+            t, [(tc.j1, tc.j2, tc.j3) for tc in mtriset.triclusters])
+        status = "ok" if all(mc.clusters for mc in mmodes) else "empty"
+        for mode in (1, 2, 3):
+            pred = labels_from_clusters(mmodes[mode - 1].clusters, 12)
+            a = ari(truth.mode_labels(mode), pred)
+            line = cli._format_row((gamma, seed, method, mode, a, rmse, 0.0,
+                                    status))
+            rows.append(_strip_wall(line))
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("eig", ["power", "exact"])
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), start=st.sampled_from([20, 40, 60]),
+       runs=st.integers(1, 2), twice=st.booleans())
+def test_sweep_rows_match_cells_run_one_by_one(eig, rank, jobs, seed, start,
+                                              runs, twice):
+    # a seed's gammas share one noise draw and one memo of the slices that
+    # equal it; its rows must be those of each cell run alone. With --jobs
+    # 3 each seed's gammas are split into three tasks, each with its memo;
+    # a range of step 1e-11 lists its start twice (values keep 10 decimals)
+    gamma = (f"{start}:{start}.00000000001:1e-11" if twice
+             else f"{start}:{start + 30}:10")
+    gammas = cli._parse_gamma_range(gamma)
+    assert len(set(gammas)) == (1 if twice else 4)
+    _InlinePool.asked, _InlinePool.tasks = [], []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+        mp.setattr(cli, "usable_cores", lambda: 8)
+        out = os.path.join(tmp, "s.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--gamma", gamma, "--runs", str(runs),
+                         "--seed", str(seed), "--dims", "12,12,12",
+                         "--cluster-size", "3", "--rank", str(rank),
+                         "--eig", eig, "--epsilon", "0.1", "--jobs", str(jobs),
+                         "-o", out]) == 0
+        with open(out) as fh:
+            got = _strip_wall(fh.read()).splitlines()[1:]
+    want = [row for g in gammas for s in range(seed, seed + runs)
+            for row in _cell_rows(g, s, 0.1, eig, rank)]
+    assert got == want
+    if jobs == 1:
+        assert _InlinePool.asked == []
+    else:
+        # each seed's gammas in as many runs as it takes to feed the workers
+        workers = min(jobs, len(gammas) * runs)
+        assert _InlinePool.asked == [workers]
+        assert len(_InlinePool.tasks[0]) == -(-workers // runs) * runs
+
+
+def test_sweep_builds_only_the_slices_that_differ_from_the_noise(monkeypatch):
+    # the first gamma of a task builds every slice's covariance (12 + 10 +
+    # 8); a later gamma only the slices its planted blocks touch, 6 a mode
+    calls, marks = [], []
+    covariance = msc.covariance
+
+    def counted(m):
+        calls.append(m.shape)
+        return covariance(m)
+
+    def marked(spec, noise=None):
+        marks.append(len(calls))
+        return generate(spec, noise)
+
+    monkeypatch.setattr(msc, "covariance", counted)
+    monkeypatch.setattr(cli, "generate", marked)
+    cells = cli._sweep_one(([40.0, 60.0, 80.0], 3, 0.1, "power", (12, 10, 8),
+                            3, 2))
+    assert len(cells) == 3
+    marks.append(len(calls))
+    assert [b - a for a, b in zip(marks, marks[1:])] == [30, 18, 18]
+    # the memo-less run of the last cell builds them all
+    calls.clear()
+    run_msc_dbscan(generate(benchmark_spec(80.0, 3, dims=(12, 10, 8),
+                                           cluster_size=3))[0], 0.1)
+    assert len(calls) == 30
+
+
 def test_synth_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
     out = tmp_path / "t.t3b"
     assert main(_synth_args(tmp_path, seed=-1)) == 2
@@ -697,7 +826,7 @@ def test_sweep_past_the_cell_cap_exits_2_at_once(tmp_path, capsys,
 
 def test_sweep_writes_error_rows_for_a_run_that_fails(tmp_path, capsys,
                                                       monkeypatch):
-    def fail(t, epsilon, config=None):
+    def fail(t, epsilon, config=None, memo=None):
         raise DegenerateInputError("no usable signal")
 
     monkeypatch.setattr(cli, "run_msc_dbscan", fail)

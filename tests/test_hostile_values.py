@@ -146,7 +146,7 @@ CASES = [
     ("benchmark_spec.gamma", "real", lambda v: benchmark_spec(v, 0)),
     ("benchmark_spec.gamma_item", "real",
      lambda v: benchmark_spec([80.0, v], 0)),
-    ("benchmark_spec.seed", "kept", lambda v: benchmark_spec(80.0, v)),
+    ("benchmark_spec.seed", "integer", lambda v: benchmark_spec(80.0, v)),
     ("benchmark_spec.dims", "integer",
      lambda v: benchmark_spec(80.0, 0, dims=v)),
     ("benchmark_spec.dims_item", "integer",
@@ -155,7 +155,7 @@ CASES = [
      lambda v: benchmark_spec(80.0, 0, cluster_size=v)),
     ("benchmark_spec.rank", "integer",
      lambda v: benchmark_spec(80.0, 0, rank=v)),
-    ("benchmark_spec.noise_scale", "kept",
+    ("benchmark_spec.noise_scale", "real",
      lambda v: benchmark_spec(80.0, 0, noise_scale=v)),
     ("generate.dims", "integer", lambda v: generate(_spec(dims=(6, v, 6)))),
     ("generate.seed", "integer", lambda v: generate(_spec(seed=v))),

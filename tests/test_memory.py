@@ -1,5 +1,5 @@
-"""Peak memory of making, writing and reading a tensor, and of a density
-split, by tracemalloc.
+"""Peak memory of making, writing and reading a tensor, of a density split
+and of a sweep task, by tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts
 every tensor-sized copy. Each tensor bound is a ratio to the tensor's own
@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msc3 import benchmark_spec, dbscan, generate, load_tensor, save_tensor
+from msc3 import (benchmark_spec, cli, dbscan, generate, load_tensor,
+                  save_tensor)
 
 DIMS = (100, 100, 100)
 NBYTES = 8 * 100 ** 3
@@ -83,3 +84,13 @@ def test_dbscan_of_two_dense_blobs_keeps_one_neighbor_matrix():
     ratio, labels = _peak_ratio(lambda: dbscan(pts, 1.0, 2))
     assert ratio * NBYTES <= 2000 ** 2 + 4 * block
     assert np.bincount(labels).tolist() == [1000, 1000]
+
+
+def test_a_sweep_seed_group_keeps_the_noise_and_one_cell_tensor(tensor):
+    # a task holds its seed's noise for all its gammas and builds one
+    # cell's tensor at a time: about two tensors, where a cell's tensor
+    # kept alive into the next cell would make three
+    task = ([80.0, 90.0, 100.0], 0, 0.1, "power", DIMS, 10, 2)
+    ratio, cells = _peak_ratio(lambda: cli._sweep_one(task))
+    assert [row[7] for rows in cells for row in rows] == ["ok"] * 18
+    assert ratio <= 2.5

@@ -24,8 +24,11 @@ from msc3 import (
     slice_spectra,
     covariance,
     run_msc_dbscan,
+    benchmark_spec,
 )
 from msc3 import spectral
+from msc3.msc import SliceMemo
+from msc3.synth import noise_tensor
 
 # frozen direct evaluations of l*eps/2 + sqrt(ln(m-l))
 BOUND_10_50 = 1.9256455826398413
@@ -124,6 +127,34 @@ def test_slice_spectra_of_three_modes_match_each_mode_alone(
     for spectra in got:
         assert len(spectra) == 3
         assert all(_same_spectra(a, b) for a, b in zip(spectra, want))
+
+
+def test_slice_spectra_with_a_memo_matches_the_memo_less_result():
+    # the slices off the planted blocks (indices 6 and up in each mode)
+    # equal the noise's and are solved once a route; the memo-less pass
+    # gives the same bits
+    specs = [benchmark_spec(gamma, 4, dims=(12, 10, 8), cluster_size=3)
+             for gamma in (40.0, 80.0)]
+    memo = SliceMemo(noise_tensor(specs[0]))
+    for spec in specs:
+        t = generate(spec, memo.base)[0]
+        for eig in ("power", "exact"):
+            got = slice_spectra(t, (1, 2, 3), eig, memo)
+            want = slice_spectra(t, (1, 2, 3), eig)
+            assert all(_same_spectra(a, b) for a, b in zip(got, want))
+    assert sorted(memo.pairs) == sorted(
+        (k, i, eig) for eig in ("power", "exact")
+        for k, m in ((1, 12), (2, 10), (3, 8)) for i in range(6, m))
+    # a slice the memo holds but that no longer equals the base's is solved
+    # again: mode-1 slice 8, and with it every slice of modes 2 and 3
+    data = memo.base.copy()
+    data[8] += 1.0
+    t = Tensor3(data)
+    got = slice_spectra(t, (1, 2, 3), "power", memo)
+    assert all(_same_spectra(a, b)
+               for a, b in zip(got, slice_spectra(t, (1, 2, 3), "power")))
+    with pytest.raises(ValueError, match="memo base has shape"):
+        slice_spectra(t, 1, memo=SliceMemo(memo.base[:, :, :7]))
 
 
 @pytest.mark.parametrize("eig", ["power", "exact"])

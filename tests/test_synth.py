@@ -21,7 +21,7 @@ from msc3 import (
     truth_to_json,
     unit_cluster_vector,
 )
-from msc3.synth import _BOXMULLER_BLOCK
+from msc3.synth import _BOXMULLER_BLOCK, noise_tensor
 
 # first normal variates of the documented uniform-pair transform, seed 0
 BOXMULLER_SEED0 = [
@@ -103,6 +103,19 @@ def test_generate_matches_dense_formula(dims, noise, seed):
                      noise_scale=noise)
     t, _ = generate(spec)
     assert t.data.tobytes() == dense_synth(spec).tobytes()
+
+
+def test_generate_on_a_given_noise_matches_its_own_draw():
+    # sweep draws a seed's noise once and hands it to generate per gamma
+    spec = SynthSpec(dims=(7, 5, 3), components=_ODD_COMPONENTS, seed=3,
+                     noise_scale=0.5)
+    noise = noise_tensor(spec)
+    kept = noise.copy()
+    t, truth = generate(spec, noise)
+    assert t.data.tobytes() == generate(spec)[0].data.tobytes()
+    assert noise.tobytes() == kept.tobytes()
+    with pytest.raises(ValidationError, match="noise has shape"):
+        generate(spec, noise[:6])
 
 
 def test_generate_tiny_noise_keeps_no_negative_zero():
