@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import as_index, as_real
+from .tensor import all_finite, as_index, as_real
 
 NOISE = -1
 
@@ -44,7 +44,7 @@ def dbscan(points, radius, minpts):
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"expected an (n, dim) point array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
+    if not all_finite(pts):
         raise ValueError("points contain NaN or Inf entries")
     radius = as_real(radius, "radius", positive=True)
     minpts = as_index(minpts, "minpts", 1)

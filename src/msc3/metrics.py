@@ -62,17 +62,22 @@ def _labels(x):
 
 
 def labels_from_clusters(clusters, m):
-    """Cluster list to a labeling: list position is the id, the rest is -1."""
+    """Cluster list to a labeling: list position is the id, the rest is -1.
+
+    An index listed twice, in one cluster or in two, raises ValidationError
+    naming the cluster or both clusters.
+    """
     lab = np.full(as_index(m), -1, dtype=int)
-    seen = set()
     for cid, members in enumerate(clusters):
         for i in members:
             i = as_index(i)
             if not 0 <= i < m:
                 raise IndexError(f"cluster index {i} out of range 0..{m - 1}")
-            if i in seen:
-                raise ValidationError(f"index {i} appears in two clusters")
-            seen.add(i)
+            if lab[i] == cid:
+                raise ValidationError(f"index {i} appears twice in cluster {cid}")
+            if lab[i] >= 0:
+                raise ValidationError(
+                    f"index {i} appears in clusters {lab[i]} and {cid}")
             lab[i] = cid
     return lab
 

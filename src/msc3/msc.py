@@ -217,7 +217,8 @@ def similarity_matrix(spectra):
     Holds BLAS at one thread, as a run does, so C does not depend on the
     thread count.
     """
-    c = np.abs(spectra.v_matrix.T @ spectra.v_matrix)
+    c = spectra.v_matrix.T @ spectra.v_matrix
+    np.abs(c, out=c)
     d = c.sum(axis=1)
     return SimilarityMatrix(c=c, d=d)
 

@@ -24,6 +24,10 @@ from .errors import FormatError, ValidationError
 
 T3B_MAGIC = b"T3B1"
 
+# entries all_finite tests at a time: a 128-KiB mask, where one mask of the
+# whole array would take a byte an entry
+_FINITE_BLOCK = 1 << 17
+
 
 def as_index(value, name="an index, mode or count", low=None):
     """value as an int, if it is a Python or numpy integer and not a bool.
@@ -56,6 +60,19 @@ def as_real(value, name, positive=False):
             raise ValidationError(f"{name} must be finite and positive, got {real}")
         return real
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def all_finite(arr):
+    """Whether every entry of the float array arr is finite.
+
+    The one owner of that rule. The array is read in blocks of
+    _FINITE_BLOCK entries, in memory order and without a copy; a block of a
+    non-contiguous array goes through one block-sized buffer. The walk
+    stops at the first block with a NaN or an infinity.
+    """
+    blocks = np.nditer(arr, flags=["external_loop", "buffered", "zerosize_ok"],
+                       buffersize=_FINITE_BLOCK, order="K")
+    return all(np.isfinite(block).all() for block in blocks)
 
 
 def check_index_set(indices, size, mode):
@@ -91,7 +108,7 @@ class Tensor3:
             raise ValueError(f"expected a 3-d array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
             raise ValueError(f"all dims must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ValidationError("tensor contains NaN or Inf entries")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

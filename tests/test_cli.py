@@ -237,6 +237,24 @@ def test_eval_dim_mismatch_exits_2(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clusters, message", [
+    ([[1, 1]], "index 1 appears twice in cluster 0"),
+    ([[0, 1], [2, 1]], "index 1 appears in clusters 0 and 1"),
+])
+def test_eval_names_a_repeated_cluster_index(tmp_path, capsys, clusters,
+                                             message):
+    main(_synth_args(tmp_path, truth="truth.json"))
+    path = tmp_path / "clusters.json"
+    main(["cluster", str(tmp_path / "t.t3b"), "-o", str(path)])
+    doc = json.loads(path.read_text())
+    doc["modes"][0]["clusters"] = clusters
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", str(path), "--truth", str(tmp_path / "truth.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_malformed_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -762,9 +780,36 @@ def test_sweep_rows_match_cells_run_one_by_one(eig, rank, jobs, seed, start,
         assert _InlinePool.asked == []
     else:
         # each seed's gammas in as many runs as it takes to feed the workers
+        # evenly, where the gammas allow it
         workers = min(jobs, len(gammas) * runs)
         assert _InlinePool.asked == [workers]
-        assert len(_InlinePool.tasks[0]) == -(-workers // runs) * runs
+        least = -(-workers // runs)
+        even = [p for p in range(least, len(gammas) + 1)
+                if p * runs % workers == 0]
+        assert len(_InlinePool.tasks[0]) == (even or [least])[0] * runs
+
+
+@pytest.mark.parametrize("runs, tasks", [(3, 6), (2, 2)])
+def test_sweep_gives_each_worker_as_many_tasks(tmp_path, runs, tasks):
+    # 3 seeds' gammas in 2 runs each, not 3 whole seeds on 2 workers, one
+    # of them idle for a third of the time; rows keep the --jobs 1 order
+    outputs = []
+    for jobs in (1, 2):
+        _InlinePool.asked, _InlinePool.tasks = [], []
+        out = tmp_path / f"s{jobs}.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+            mp.setattr(cli, "usable_cores", lambda: 2)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--gamma", "20:50:10", "--runs",
+                             str(runs), "--dims", "12,12,12",
+                             "--cluster-size", "3", "--epsilon", "0.1",
+                             "--jobs", str(jobs), "-o", str(out)]) == 0
+        agg = tmp_path / f"s{jobs}_agg.csv"
+        outputs.append((_strip_wall(out.read_text()), agg.read_bytes()))
+    assert _InlinePool.asked == [2]
+    assert len(_InlinePool.tasks[0]) == tasks
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_builds_only_the_slices_that_differ_from_the_noise(monkeypatch):

@@ -97,8 +97,18 @@ def test_labels_from_clusters_basic():
 
 
 def test_labels_from_clusters_overlap():
-    with pytest.raises(ValidationError):
-        labels_from_clusters([(0, 1), (1, 2)], 4)
+    with pytest.raises(ValidationError,
+                       match=r"^index 1 appears in clusters 0 and 2$"):
+        labels_from_clusters([(0, 1), (3,), (1, 2)], 4)
+
+
+def test_labels_from_clusters_repeat_within_one_cluster():
+    with pytest.raises(ValidationError,
+                       match=r"^index 1 appears twice in cluster 0$"):
+        labels_from_clusters([[1, 1]], 3)
+    with pytest.raises(ValidationError,
+                       match=r"^index 2 appears twice in cluster 1$"):
+        labels_from_clusters([[0], [2, 1, 2]], 3)
 
 
 def test_labels_from_clusters_out_of_range():

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from msc3 import (
     FormatError,
     Tensor3,
     ValidationError,
     check_index_set,
+    dbscan,
     load_tensor,
     save_tensor,
 )
+from msc3 import tensor
+from msc3.tensor import all_finite
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -118,6 +121,63 @@ def test_nan_rejected_on_construction():
     data[1, 1, 1] = np.nan
     with pytest.raises(ValidationError):
         Tensor3(data)
+
+
+BLOCK = tensor._FINITE_BLOCK
+BAD = [np.nan, np.inf, -np.inf]
+
+
+def _planted(size):
+    # the first and last entries and both sides of every block boundary
+    return sorted({0, size - 1} | {k for b in range(BLOCK, size, BLOCK)
+                                   for k in (b - 1, b)})
+
+
+@pytest.mark.parametrize("bad", BAD, ids=str)
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * BLOCK + 5])
+def test_all_finite_finds_one_bad_entry_on_either_side_of_a_block(size, bad):
+    a = np.zeros(size)
+    assert all_finite(a)
+    Tensor3(a.reshape(1, 1, size))
+    for k in _planted(size):
+        a[k] = bad
+        assert not all_finite(a)
+        with pytest.raises(ValidationError,
+                           match="^tensor contains NaN or Inf entries$"):
+            Tensor3(a.reshape(1, 1, size))
+        a[k] = 0.0
+
+
+@pytest.mark.parametrize("bad", BAD, ids=str)
+def test_dbscan_checks_fortran_ordered_points_in_memory_order(bad):
+    # 4 points, stored column after column over three blocks: memory
+    # position k is point k % 4's coordinate k // 4
+    flat = np.zeros(4 * (BLOCK // 2 + 1))
+    pts = flat.reshape((4, -1), order="F")
+    assert not pts.flags.c_contiguous
+    assert dbscan(pts, 1.0, 1).tolist() == [0] * 4
+    for k in _planted(flat.size):
+        flat[k] = bad
+        with pytest.raises(ValueError,
+                           match="^points contain NaN or Inf entries$"):
+            dbscan(pts, 1.0, 1)
+        flat[k] = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=arrays(np.float64, array_shapes(min_dims=1, max_dims=3,
+                                            min_side=0, max_side=9),
+                   elements=st.floats(width=64)),
+       block=st.integers(1, 20), order=st.sampled_from("CF"),
+       step=st.integers(1, 3))
+def test_all_finite_agrees_with_a_mask_of_the_whole_array(data, block, order,
+                                                         step):
+    # small blocks, so that small arrays of any layout span several
+    a = np.asarray(data, order=order)[..., ::step]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_FINITE_BLOCK", block)
+        assert all_finite(a) == bool(np.isfinite(a).all())
 
 
 def test_t3b_round_trip(tmp_path):
