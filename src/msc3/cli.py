@@ -250,11 +250,9 @@ def cmd_sweep(args):
     dims = _parse_dims(args.dims)
     # the pool starts all its workers at once: no more than cells or cores
     jobs = min(args.jobs, len(gammas) * args.runs, usable_cores())
-    # a task is a run of one seed's gammas: the fewest runs a seed that give
-    # every worker a task and, where the gammas allow, as many tasks each
-    least = -(-jobs // args.runs)
-    parts = next((p for p in range(least, len(gammas) + 1)
-                  if p * args.runs % jobs == 0), least)
+    # a task is one seed's gammas, or a run of them when there are fewer
+    # seeds than workers, so that every worker gets a task
+    parts = -(-jobs // args.runs)
     cuts = [len(gammas) * c // parts for c in range(parts + 1)]
     tasks = [
         (gammas[lo:hi], s, args.epsilon, args.eig, dims, args.cluster_size,

@@ -780,36 +780,9 @@ def test_sweep_rows_match_cells_run_one_by_one(eig, rank, jobs, seed, start,
         assert _InlinePool.asked == []
     else:
         # each seed's gammas in as many runs as it takes to feed the workers
-        # evenly, where the gammas allow it
         workers = min(jobs, len(gammas) * runs)
         assert _InlinePool.asked == [workers]
-        least = -(-workers // runs)
-        even = [p for p in range(least, len(gammas) + 1)
-                if p * runs % workers == 0]
-        assert len(_InlinePool.tasks[0]) == (even or [least])[0] * runs
-
-
-@pytest.mark.parametrize("runs, tasks", [(3, 6), (2, 2)])
-def test_sweep_gives_each_worker_as_many_tasks(tmp_path, runs, tasks):
-    # 3 seeds' gammas in 2 runs each, not 3 whole seeds on 2 workers, one
-    # of them idle for a third of the time; rows keep the --jobs 1 order
-    outputs = []
-    for jobs in (1, 2):
-        _InlinePool.asked, _InlinePool.tasks = [], []
-        out = tmp_path / f"s{jobs}.csv"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "ProcessPoolExecutor", _InlinePool)
-            mp.setattr(cli, "usable_cores", lambda: 2)
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["sweep", "--gamma", "20:50:10", "--runs",
-                             str(runs), "--dims", "12,12,12",
-                             "--cluster-size", "3", "--epsilon", "0.1",
-                             "--jobs", str(jobs), "-o", str(out)]) == 0
-        agg = tmp_path / f"s{jobs}_agg.csv"
-        outputs.append((_strip_wall(out.read_text()), agg.read_bytes()))
-    assert _InlinePool.asked == [2]
-    assert len(_InlinePool.tasks[0]) == tasks
-    assert outputs[0] == outputs[1]
+        assert len(_InlinePool.tasks[0]) == -(-workers // runs) * runs
 
 
 def test_sweep_builds_only_the_slices_that_differ_from_the_noise(monkeypatch):
